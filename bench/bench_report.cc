@@ -129,14 +129,11 @@ struct SweepFile
     std::uint64_t mruHits = 0;      ///< DSVMT-walk MRU granule hits
     std::uint64_t mruLookups = 0;   ///< DSVMT-walk lookups
 
-    // Fast-forward engine coverage (DESIGN §5.5) and the predecoded
-    // superblock cache, summed over the cells' stats blocks. The
-    // uop/cycle denominators are the simulated totals of the ok
-    // cells.
+    // Fast-forward engine coverage (DESIGN §5.5), summed over the
+    // cells' stats blocks. The uop/cycle denominators are the
+    // simulated totals of the ok cells.
     std::uint64_t ffUops = 0;       ///< uops committed via the replica
     std::uint64_t ffCycles = 0;     ///< cycles skipped/replicated
-    std::uint64_t sbHits = 0;       ///< superblock cache hits
-    std::uint64_t sbMisses = 0;     ///< superblock cache builds
     std::uint64_t simCycles = 0;    ///< total simulated cycles (ok)
     std::uint64_t simInstructions = 0; ///< total simulated uops (ok)
 
@@ -283,8 +280,6 @@ loadSweep(const std::string &path, bool skipHeavy = false,
                 uintOr0(st, "perspective.revocation.stale_allows");
             f.ffUops += uintOr0(st, "ff.uops");
             f.ffCycles += uintOr0(st, "ff.cycles");
-            f.sbHits += uintOr0(st, "sb.cache.hits");
-            f.sbMisses += uintOr0(st, "sb.cache.misses");
         }
         if (c.ok) {
             f.simCycles += c.cycles;
@@ -469,13 +464,6 @@ summarize(const SweepFile &f)
                         ? 100.0 * static_cast<double>(f.ffCycles) /
                               static_cast<double>(f.simCycles)
                         : 0.0);
-    if (f.sbHits + f.sbMisses > 0)
-        std::printf("  superblock cache: %llu/%llu hits (%.1f%%)\n",
-                    static_cast<unsigned long long>(f.sbHits),
-                    static_cast<unsigned long long>(f.sbHits +
-                                                    f.sbMisses),
-                    100.0 * static_cast<double>(f.sbHits) /
-                        static_cast<double>(f.sbHits + f.sbMisses));
     if (f.gapSamples > 0 || f.staleAllows > 0)
         std::printf("  transient gaps: %llu windows, p50~%.0f "
                     "p99~%.0f cycles (count-weighted); %llu stale "

@@ -1,5 +1,6 @@
 #include "isv_builders.hh"
 
+#include <bit>
 #include <deque>
 
 namespace perspective::core
@@ -91,8 +92,11 @@ IsvView
 DynamicIsvBuilder::build() const
 {
     IsvView view(img_.program());
-    for (FuncId f : seen_)
-        view.includeFunction(f);
+    for (std::size_t w = 0; w < seen_.size(); ++w) {
+        for (std::uint64_t bits = seen_[w]; bits != 0; bits &= bits - 1)
+            view.includeFunction(static_cast<FuncId>(
+                w * 64 + static_cast<unsigned>(std::countr_zero(bits))));
+    }
     return view;
 }
 

@@ -85,7 +85,7 @@ class DynamicIsvBuilder
 {
   public:
     explicit DynamicIsvBuilder(const kernel::KernelImage &img)
-        : img_(img)
+        : img_(img), seen_((img.numKernelFunctions() + 63) / 64, 0)
     {
     }
 
@@ -94,14 +94,7 @@ class DynamicIsvBuilder
     observe(sim::FuncId f)
     {
         if (f < img_.numKernelFunctions())
-            seen_.insert(f);
-    }
-
-    /** Number of distinct kernel functions observed so far. */
-    std::size_t numObserved() const { return seen_.size(); }
-    const std::unordered_set<sim::FuncId> &observed() const
-    {
-        return seen_;
+            seen_[f / 64] |= std::uint64_t{1} << (f % 64);
     }
 
     /** Emit the personalized dynamic ISV. */
@@ -109,7 +102,8 @@ class DynamicIsvBuilder
 
   private:
     const kernel::KernelImage &img_;
-    std::unordered_set<sim::FuncId> seen_;
+    /** FuncId-indexed bitvector of the observed kernel functions. */
+    std::vector<std::uint64_t> seen_;
 };
 
 /**

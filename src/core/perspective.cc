@@ -54,6 +54,8 @@ void
 PerspectivePolicy::registerContext(sim::Asid asid, DomainId domain,
                                    const IsvView *isv)
 {
+    assert(domain != kDomainUnknown &&
+           "a context belongs to a real ownership domain");
     Context c;
     c.domain = domain;
     c.isv = isv;
@@ -66,15 +68,16 @@ PerspectivePolicy::registerContext(sim::Asid asid, DomainId domain,
 
     // Materialize the domain's DSVMT from current ownership (the OS
     // builds the in-memory table when the context is created); the
-    // listener keeps it in sync afterwards.
+    // listener keeps it in sync afterwards. Only assigned frames can
+    // be in the view, so only they are visited.
     auto [it, fresh] = dsvmts_.try_emplace(domain);
     if (fresh) {
-        for (kernel::Pfn pfn = 0; pfn < ownership_.numFrames();
-             ++pfn) {
-            DomainId owner = ownership_.ownerOf(pfn);
-            if (owner == domain || owner == kDomainReplicated)
-                it->second.setPage(pfn, true);
-        }
+        Dsvmt &tree = it->second;
+        ownership_.forEachAssigned(
+            [&](kernel::Pfn pfn, DomainId owner) {
+                if (owner == domain || owner == kDomainReplicated)
+                    tree.setPage(pfn, true);
+            });
     }
 }
 

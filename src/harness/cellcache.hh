@@ -55,7 +55,7 @@ namespace perspective::harness
  * edited defaults, toolchain quirks being chased, …). Part of the
  * code fingerprint, so a bump invalidates every cached cell.
  */
-inline constexpr unsigned kSimResultEpoch = 5; // +sampled mode in cell key
+inline constexpr unsigned kSimResultEpoch = 6; // -sb.cache.* cell stats
 
 /**
  * The code half of the cache key: a 16-hex-digit FNV-1a over the

@@ -71,6 +71,11 @@ KernelImage::KernelImage(sim::Memory &mem, ImageParams params)
     plantGadgets();
     finalizeEdges();
     writeRodataTables();
+
+    for (std::size_t f = 0; f < info_.size(); ++f) {
+        if (!info_[f].gadgets.empty())
+            gadgetFuncs_.push_back(static_cast<FuncId>(f));
+    }
 }
 
 std::uint64_t
@@ -1065,17 +1070,6 @@ KernelImage::writeRodataTables()
         for (unsigned slot = 0; slot < 5; ++slot)
             mem_.write(protoOpsSlotVa(p, slot), netImpls_[p][slot]);
     }
-}
-
-std::vector<FuncId>
-KernelImage::functionsWithGadgets() const
-{
-    std::vector<FuncId> out;
-    for (std::size_t f = 0; f < info_.size(); ++f) {
-        if (!info_[f].gadgets.empty())
-            out.push_back(static_cast<FuncId>(f));
-    }
-    return out;
 }
 
 } // namespace perspective::kernel

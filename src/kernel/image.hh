@@ -130,8 +130,13 @@ class KernelImage
     /** Number of kernel functions (== Linux's ~28K scale). */
     std::size_t numKernelFunctions() const { return info_.size(); }
 
-    /** All functions containing at least one gadget. */
-    std::vector<sim::FuncId> functionsWithGadgets() const;
+    /** All functions containing at least one gadget, in id order
+     * (collected once, at the end of construction). */
+    const std::vector<sim::FuncId> &
+    functionsWithGadgets() const
+    {
+        return gadgetFuncs_;
+    }
     unsigned totalGadgets() const { return totalGadgets_; }
 
     /** @name Concrete PoC handles (Table 4.1 CVE analogues)
@@ -213,6 +218,7 @@ class KernelImage
     std::array<sim::FuncId, kNumSyscalls> entries_{};
     std::uint64_t rngState_;
     unsigned totalGadgets_ = 0;
+    std::vector<sim::FuncId> gadgetFuncs_;
 
     // pools
     std::vector<sim::FuncId> libPool_;

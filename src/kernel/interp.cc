@@ -5,34 +5,38 @@ namespace perspective::kernel
 
 using namespace sim;
 
-SuperblockCache &
-Interpreter::cache()
+namespace
 {
-    if (blocks_)
-        return *blocks_;
-    if (!ownBlocks_)
-        ownBlocks_ = std::make_unique<SuperblockCache>(prog_);
-    return *ownBlocks_;
+
+/** Handler index of an op: its Op byte, except that IntAlu unfolds
+ * its AluOp into kAluBase + alu so every ALU sub-op has a handler of
+ * its own and dispatch is a single indexed jump. */
+constexpr unsigned kAluBase = static_cast<unsigned>(Op::Fence) + 1;
+constexpr unsigned kNumHandlers =
+    kAluBase + static_cast<unsigned>(AluOp::Mov) + 1;
+
+inline unsigned
+handlerOf(const MicroOp &op)
+{
+    unsigned o = static_cast<unsigned>(op.op);
+    return o == static_cast<unsigned>(Op::IntAlu)
+               ? kAluBase + static_cast<unsigned>(op.alu)
+               : o;
 }
 
+} // namespace
+
 /*
- * Dispatch is threaded over predecoded superblocks: every op carries a
- * flat SbKind, so the hot loop is "execute handler, bump cursor,
- * indexed jump" with no per-op decode switch and no bounds check (the
- * block's last op is always a terminator, kSbEnd included). GCC/Clang
- * get labels-as-values; other compilers fall back to a switch over the
- * same handlers.
+ * Dispatch is threaded (labels-as-values, GCC/Clang) directly over
+ * Function::body: the hot loop is "execute handler, bump cursor,
+ * indexed jump" with no decode step. The function's body bounds are
+ * reloaded only when control enters another function; a body that
+ * ends without a return reaches h_end, the ran-off-the-end rule.
  */
-
-#if defined(__GNUC__) || defined(__clang__)
-#define PERSPECTIVE_THREADED_DISPATCH 1
-#endif
-
 Interpreter::Result
 Interpreter::run(FuncId entry, std::uint64_t max_uops,
                  const std::function<void(FuncId)> &on_func)
 {
-    SuperblockCache &sbc = cache();
     stack_.clear();
     FuncId func = entry;
     std::uint32_t idx = 0;
@@ -41,39 +45,43 @@ Interpreter::run(FuncId entry, std::uint64_t max_uops,
     if (on_func)
         on_func(func);
 
-    const SbOp *cur = nullptr;
-    const SbOp *blockBase = nullptr;
-    std::uint32_t blockIdx = 0;
+    const MicroOp *body = nullptr;
+    const MicroOp *end = nullptr;
+    const MicroOp *cur = nullptr;
 
-    // Index of the op `cur` points at, valid inside terminator
-    // handlers (straight-line handlers never need it).
-#define PERSPECTIVE_CUR_IDX()                                          \
-    (blockIdx + static_cast<std::uint32_t>(cur - blockBase))
+    // Index of the op `cur` points at.
+#define PERSPECTIVE_CUR_IDX() static_cast<std::uint32_t>(cur - body)
 
-#ifdef PERSPECTIVE_THREADED_DISPATCH
-
-    static const void *const kJump[kSbNumKinds] = {
-        &&h_nop,    &&h_add,  &&h_sub,   &&h_and,   &&h_shl,
-        &&h_shr,    &&h_movi, &&h_mov,   &&h_mul,   &&h_load,
-        &&h_store,  &&h_branch, &&h_jump, &&h_call, &&h_icall,
-        &&h_return, &&h_fence, &&h_end,
+    static const void *const kJump[kNumHandlers] = {
+        // Op order (IntAlu's slot is never dispatched: handlerOf
+        // unfolds it).
+        &&h_nop,    &&h_add,    &&h_mul,  &&h_load,  &&h_store,
+        &&h_branch, &&h_jump,   &&h_call, &&h_icall, &&h_return,
+        &&h_fence,
+        // AluOp order, from kAluBase.
+        &&h_add,    &&h_sub,    &&h_and,  &&h_shl,   &&h_shr,
+        &&h_movi,   &&h_mov,
     };
 
-// Budget check precedes every dispatch, exactly like the original
-// per-op while loop; real handlers count their own uop.
+// Budget check precedes every dispatch, the end-of-body check
+// included; real handlers count their own uop.
 #define DISPATCH()                                                     \
     do {                                                               \
         if (res.uops >= max_uops) [[unlikely]]                         \
             return res;                                                \
-        goto *kJump[cur->kind];                                        \
+        if (cur == end) [[unlikely]]                                   \
+            goto h_end;                                                \
+        goto *kJump[handlerOf(*cur)];                                  \
     } while (0)
 
-next_block:
-    {
-        const Superblock &sb = sbc.at(func, idx);
-        blockBase = cur = sb.ops.data();
-        blockIdx = idx;
-    }
+enter_func: {
+    const Function &f = prog_.func(func);
+    body = f.body.data();
+    end = body + f.body.size();
+}
+seek:
+    // A start index at or past the end of the body lands on h_end.
+    cur = idx < static_cast<std::size_t>(end - body) ? body + idx : end;
     DISPATCH();
 
 h_nop:
@@ -83,7 +91,7 @@ h_nop:
 
 h_add: {
     ++res.uops;
-    const MicroOp &op = *cur->op;
+    const MicroOp &op = *cur;
     std::uint64_t a = op.src1 != kNoReg ? regs_[op.src1] : 0;
     regs_[op.dst] =
         op.src2 != kNoReg
@@ -95,7 +103,7 @@ h_add: {
 
 h_sub: {
     ++res.uops;
-    const MicroOp &op = *cur->op;
+    const MicroOp &op = *cur;
     std::uint64_t a = op.src1 != kNoReg ? regs_[op.src1] : 0;
     std::uint64_t b = op.src2 != kNoReg
                           ? regs_[op.src2]
@@ -107,7 +115,7 @@ h_sub: {
 
 h_and: {
     ++res.uops;
-    const MicroOp &op = *cur->op;
+    const MicroOp &op = *cur;
     std::uint64_t a = op.src1 != kNoReg ? regs_[op.src1] : 0;
     regs_[op.dst] = a & static_cast<std::uint64_t>(op.imm);
     ++cur;
@@ -116,7 +124,7 @@ h_and: {
 
 h_shl: {
     ++res.uops;
-    const MicroOp &op = *cur->op;
+    const MicroOp &op = *cur;
     std::uint64_t a = op.src1 != kNoReg ? regs_[op.src1] : 0;
     regs_[op.dst] = a << (op.imm & 63);
     ++cur;
@@ -125,7 +133,7 @@ h_shl: {
 
 h_shr: {
     ++res.uops;
-    const MicroOp &op = *cur->op;
+    const MicroOp &op = *cur;
     std::uint64_t a = op.src1 != kNoReg ? regs_[op.src1] : 0;
     regs_[op.dst] = a >> (op.imm & 63);
     ++cur;
@@ -134,7 +142,7 @@ h_shr: {
 
 h_movi: {
     ++res.uops;
-    const MicroOp &op = *cur->op;
+    const MicroOp &op = *cur;
     regs_[op.dst] = static_cast<std::uint64_t>(op.imm);
     ++cur;
     DISPATCH();
@@ -142,7 +150,7 @@ h_movi: {
 
 h_mov: {
     ++res.uops;
-    const MicroOp &op = *cur->op;
+    const MicroOp &op = *cur;
     regs_[op.dst] = op.src1 != kNoReg ? regs_[op.src1] : 0;
     ++cur;
     DISPATCH();
@@ -153,7 +161,7 @@ h_mul: {
     // builder leaves AluOp::Add; only the pipeline charges multiply
     // latency), so defer to evalAluOp rather than multiplying.
     ++res.uops;
-    const MicroOp &op = *cur->op;
+    const MicroOp &op = *cur;
     std::uint64_t a = op.src1 != kNoReg ? regs_[op.src1] : 0;
     std::uint64_t b = op.src2 != kNoReg
                           ? regs_[op.src2]
@@ -165,7 +173,7 @@ h_mul: {
 
 h_load: {
     ++res.uops;
-    const MicroOp &op = *cur->op;
+    const MicroOp &op = *cur;
     Addr ea = (op.src1 != kNoReg ? regs_[op.src1] : 0) +
               static_cast<std::uint64_t>(op.imm);
     regs_[op.dst] = mem_.read(ea);
@@ -175,7 +183,7 @@ h_load: {
 
 h_store: {
     ++res.uops;
-    const MicroOp &op = *cur->op;
+    const MicroOp &op = *cur;
     if (!dryStores_) {
         Addr ea = (op.src1 != kNoReg ? regs_[op.src1] : 0) +
                   static_cast<std::uint64_t>(op.imm);
@@ -187,66 +195,57 @@ h_store: {
 
 h_branch: {
     ++res.uops;
-    const MicroOp &op = *cur->op;
+    const MicroOp &op = *cur;
     std::uint64_t a = regs_[op.src1];
     std::uint64_t b = op.src2 != kNoReg
                           ? regs_[op.src2]
                           : static_cast<std::uint64_t>(op.imm);
     idx = evalCondOp(op.cond, a, b) ? op.target
                                     : PERSPECTIVE_CUR_IDX() + 1;
-    goto next_block;
+    goto seek;
 }
 
 h_jump:
     ++res.uops;
-    idx = cur->op->target;
-    goto next_block;
+    idx = cur->target;
+    goto seek;
 
-h_call: {
+h_call:
     ++res.uops;
     stack_.push_back({func, PERSPECTIVE_CUR_IDX() + 1});
-    func = cur->op->callee;
+    func = cur->callee;
     idx = 0;
     if (on_func)
         on_func(func);
-    goto next_block;
-}
+    goto enter_func;
 
 h_icall: {
     ++res.uops;
-    const MicroOp &op = *cur->op;
-    std::uint64_t raw = regs_[op.src1];
+    std::uint64_t raw = regs_[cur->src1];
     if (!validCallTarget(prog_, raw)) {
         // Wild pointer: architected no-op call, fall through.
-        idx = PERSPECTIVE_CUR_IDX() + 1;
-        goto next_block;
+        ++cur;
+        DISPATCH();
     }
     stack_.push_back({func, PERSPECTIVE_CUR_IDX() + 1});
     func = static_cast<FuncId>(raw);
     idx = 0;
     if (on_func)
         on_func(func);
-    goto next_block;
+    goto enter_func;
 }
-
-h_return:
-    ++res.uops;
-    if (stack_.empty()) {
-        res.completed = true;
-        return res;
-    }
-    func = stack_.back().func;
-    idx = stack_.back().idx;
-    stack_.pop_back();
-    goto next_block;
 
 h_fence:
     ++res.uops;
-    idx = PERSPECTIVE_CUR_IDX() + 1;
-    goto next_block;
+    ++cur;
+    DISPATCH();
 
+h_return:
+    ++res.uops;
+    // Falls through: a return and running off the end of the body
+    // unwind alike, but the latter is a defensive return that
+    // charges no uop.
 h_end:
-    // Ran off the end of the body: defensive return (no uop charged).
     if (stack_.empty()) {
         res.completed = true;
         return res;
@@ -254,120 +253,9 @@ h_end:
     func = stack_.back().func;
     idx = stack_.back().idx;
     stack_.pop_back();
-    goto next_block;
+    goto enter_func;
 
 #undef DISPATCH
-
-#else // !PERSPECTIVE_THREADED_DISPATCH
-
-    for (;;) {
-        const Superblock &sb = sbc.at(func, idx);
-        blockBase = cur = sb.ops.data();
-        blockIdx = idx;
-        for (;;) {
-            if (res.uops >= max_uops)
-                return res;
-            const std::uint8_t kind = cur->kind;
-            if (kind != kSbEnd)
-                ++res.uops;
-            switch (kind) {
-              case kSbNop:
-                ++cur;
-                continue;
-              case kSbAluAdd:
-              case kSbAluSub:
-              case kSbAluAnd:
-              case kSbAluShl:
-              case kSbAluShr:
-              case kSbAluMovI:
-              case kSbAluMov:
-              case kSbMul: {
-                const MicroOp &op = *cur->op;
-                std::uint64_t a =
-                    op.src1 != kNoReg ? regs_[op.src1] : 0;
-                std::uint64_t b =
-                    op.src2 != kNoReg
-                        ? regs_[op.src2]
-                        : static_cast<std::uint64_t>(op.imm);
-                regs_[op.dst] = evalAluOp(op, a, b);
-                ++cur;
-                continue;
-              }
-              case kSbLoad: {
-                const MicroOp &op = *cur->op;
-                Addr ea = (op.src1 != kNoReg ? regs_[op.src1] : 0) +
-                          static_cast<std::uint64_t>(op.imm);
-                regs_[op.dst] = mem_.read(ea);
-                ++cur;
-                continue;
-              }
-              case kSbStore: {
-                const MicroOp &op = *cur->op;
-                if (!dryStores_) {
-                    Addr ea =
-                        (op.src1 != kNoReg ? regs_[op.src1] : 0) +
-                        static_cast<std::uint64_t>(op.imm);
-                    mem_.write(ea, regs_[op.src2]);
-                }
-                ++cur;
-                continue;
-              }
-              case kSbBranch: {
-                const MicroOp &op = *cur->op;
-                std::uint64_t a = regs_[op.src1];
-                std::uint64_t b =
-                    op.src2 != kNoReg
-                        ? regs_[op.src2]
-                        : static_cast<std::uint64_t>(op.imm);
-                idx = evalCondOp(op.cond, a, b)
-                          ? op.target
-                          : PERSPECTIVE_CUR_IDX() + 1;
-                break;
-              }
-              case kSbJump:
-                idx = cur->op->target;
-                break;
-              case kSbCall:
-                stack_.push_back({func, PERSPECTIVE_CUR_IDX() + 1});
-                func = cur->op->callee;
-                idx = 0;
-                if (on_func)
-                    on_func(func);
-                break;
-              case kSbIndirectCall: {
-                const MicroOp &op = *cur->op;
-                std::uint64_t raw = regs_[op.src1];
-                if (!validCallTarget(prog_, raw)) {
-                    idx = PERSPECTIVE_CUR_IDX() + 1;
-                    break;
-                }
-                stack_.push_back({func, PERSPECTIVE_CUR_IDX() + 1});
-                func = static_cast<FuncId>(raw);
-                idx = 0;
-                if (on_func)
-                    on_func(func);
-                break;
-              }
-              case kSbReturn:
-              case kSbEnd:
-                if (stack_.empty()) {
-                    res.completed = true;
-                    return res;
-                }
-                func = stack_.back().func;
-                idx = stack_.back().idx;
-                stack_.pop_back();
-                break;
-              case kSbFence:
-                idx = PERSPECTIVE_CUR_IDX() + 1;
-                break;
-            }
-            break; // terminator handled: fetch the next block
-        }
-    }
-
-#endif // PERSPECTIVE_THREADED_DISPATCH
-
 #undef PERSPECTIVE_CUR_IDX
 }
 

@@ -8,9 +8,10 @@
  *  - the Kasper/Syzkaller-style fuzzing loop of the gadget scanner,
  *  - the fast-forward executor's functional half (DESIGN §5.5).
  *
- * Dispatch is threaded over predecoded superblocks (sim/superblock.hh)
- * instead of a per-op decode switch; the call stack persists across
- * run() invocations so steady-state tracing allocates nothing.
+ * Dispatch is threaded straight over each Function::body (the op's
+ * own Op/AluOp bytes pick the handler), so an interpreter decodes
+ * nothing up front; the call stack persists across run() invocations
+ * so steady-state tracing allocates nothing.
  */
 
 #ifndef PERSPECTIVE_KERNEL_INTERP_HH
@@ -19,12 +20,10 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "sim/memory.hh"
 #include "sim/program.hh"
-#include "sim/superblock.hh"
 #include "types.hh"
 
 namespace perspective::kernel
@@ -34,15 +33,8 @@ namespace perspective::kernel
 class Interpreter
 {
   public:
-    /**
-     * @p blocks (optional) injects a shared predecoded-superblock
-     * cache so short-lived interpreters (the per-request tracers) do
-     * not re-decode the image; without one the interpreter builds its
-     * own lazily.
-     */
-    Interpreter(const sim::Program &prog, sim::Memory &mem,
-                sim::SuperblockCache *blocks = nullptr)
-        : prog_(prog), mem_(mem), blocks_(blocks)
+    Interpreter(const sim::Program &prog, sim::Memory &mem)
+        : prog_(prog), mem_(mem)
     {
     }
 
@@ -56,7 +48,7 @@ class Interpreter
     /** Restore the freshly-constructed architectural state (all
      * registers zero, stores live) so one long-lived interpreter can
      * replace a construct-per-invocation pattern without behavioral
-     * difference. Decoded superblocks are retained. */
+     * difference. */
     void
     reset()
     {
@@ -73,17 +65,15 @@ class Interpreter
     /**
      * Execute @p entry until its final return. @p on_func (optional)
      * fires on entry to every function, including @p entry itself.
+     * A body that ends without a return returns to its caller (no
+     * uop is charged for the missing op).
      */
     Result run(sim::FuncId entry, std::uint64_t max_uops = 1'000'000,
                const std::function<void(sim::FuncId)> &on_func = {});
 
   private:
-    sim::SuperblockCache &cache();
-
     const sim::Program &prog_;
     sim::Memory &mem_;
-    sim::SuperblockCache *blocks_ = nullptr;
-    std::unique_ptr<sim::SuperblockCache> ownBlocks_;
     std::array<std::uint64_t, sim::kNumRegs> regs_{};
     bool dryStores_ = false;
 

@@ -10,6 +10,7 @@
 #define PERSPECTIVE_KERNEL_OWNERSHIP_HH
 
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <vector>
 
@@ -94,6 +95,39 @@ class OwnershipMap
     }
 
     std::uint64_t numFrames() const { return owner_.size(); }
+
+    /**
+     * Call @p fn(pfn, owner) for every frame with an owner (anything
+     * but kDomainUnknown), in pfn order. kDomainUnknown is 0, so a
+     * machine word of the table that reads 0 holds only unassigned
+     * frames and is skipped whole: the cost is one load per word plus
+     * the assigned frames, with no branch per unassigned frame.
+     */
+    template <typename Fn>
+    void
+    forEachAssigned(Fn &&fn) const
+    {
+        static_assert(kDomainUnknown == 0);
+        constexpr std::size_t kPerWord =
+            sizeof(std::uint64_t) / sizeof(DomainId);
+        const std::size_t n = owner_.size();
+        std::size_t pfn = 0;
+        for (; pfn < n; pfn += kPerWord) {
+            std::size_t end = pfn + kPerWord;
+            if (end <= n) {
+                std::uint64_t word;
+                std::memcpy(&word, &owner_[pfn], sizeof word);
+                if (word == 0)
+                    continue;
+            } else {
+                end = n; // short tail word
+            }
+            for (std::size_t i = pfn; i < end; ++i) {
+                if (owner_[i] != kDomainUnknown)
+                    fn(Pfn{i}, owner_[i]);
+            }
+        }
+    }
 
     /** Bumped on every change; DSV caches use it to invalidate. */
     std::uint64_t epoch() const { return epoch_; }

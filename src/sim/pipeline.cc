@@ -1,6 +1,5 @@
 #include "pipeline.hh"
 
-#include "superblock.hh"
 #include "trace.hh"
 
 #include <algorithm>
@@ -26,8 +25,7 @@ Pipeline::Pipeline(const Program &prog, Memory &mem,
       caches_(defaultL1I(), defaultL1D(), defaultL2(),
               params.dramLatency),
       dtlb_(512, 4, 30),
-      stackBase_(kDefaultStackBase),
-      sbCache_(prog)
+      stackBase_(kDefaultStackBase)
 {
     rob_.init(params_.robSize);
     renameValid_.fill(false);
@@ -605,7 +603,7 @@ Pipeline::resolveControl(RobEntry &e)
       case Op::IndirectCall: {
         if (!validCallTarget(prog_, e.srcVal[0])) {
             // Wild pointer: architected no-op call (the rule shared
-            // with the interpreter — see sim/superblock.hh). No
+            // with the interpreter — see sim/program.hh). No
             // predictor learns the wild value and no frame is pushed;
             // whatever the front end did (followed a stale BTB target
             // or stalled) is undone and fetch resumes at fall-through.
@@ -678,7 +676,7 @@ Pipeline::resolveControl(RobEntry &e)
         }
         if (eventsOn_)
             recordSpan(trace::Flag::Squash, e, now_, " (mispredict)");
-        fetchSb_ = nullptr; // front-end redirect: drop the block cursor
+        fetchBlockStart_ = true; // front-end redirect
         fetchStallUntil_ = now_ + params_.mispredictPenalty;
         ctrMispredicts_.inc();
         switch (e.op->op) {
@@ -942,35 +940,28 @@ Pipeline::doFetch()
         n = fastForwardRegion();
     }
     while (n < params_.width && rob_.size() < params_.robSize) {
-        // Predecoded superblock stream: the function descriptor, op
-        // PCs, dispatch kinds and cache-line transitions are resolved
-        // once per straight-line run, not per fetched micro-op. The
-        // cursor survives width/capacity/stall breaks mid-block and
-        // is dropped on every front-end redirect.
-        if (!fetchSb_) {
-            if (fetch_.func != fetchFuncCached_) {
-                fetchFuncCached_ = fetch_.func;
-                fetchFuncPtr_ = &prog_.func(fetch_.func);
-            }
-            fetchSb_ = &sbCache_.at(fetch_.func, fetch_.idx);
-            fetchSbPos_ = 0;
+        // The function descriptor is resolved once per function
+        // change, not per fetched micro-op; ops are read in place
+        // from its body.
+        if (fetch_.func != fetchFuncCached_) {
+            fetchFuncCached_ = fetch_.func;
+            fetchFuncPtr_ = &prog_.func(fetch_.func);
         }
-        const SbOp &d = fetchSb_->ops[fetchSbPos_];
-        assert(d.kind != kSbEnd &&
-               "fetch ran off a function body; bodies must end in ret");
         const Function &f = *fetchFuncPtr_;
-        const MicroOp &op = *d.op;
+        assert(fetch_.idx < f.body.size() &&
+               "fetch ran off a function body; bodies must end in ret");
+        const MicroOp &op = f.body[fetch_.idx];
 
         if (op.op == Op::Load && inflightLoads_ >= params_.lqSize)
             break;
         if (op.op == Op::Store && inflightStores_ >= params_.sqSize)
             break;
 
-        Addr pc = d.pc;
+        Addr pc = f.instAddr(fetch_.idx);
         // Ops past the first of a line were always preceded (same
-        // block) by an op on the same line, so only line transitions
-        // consult the I-cache.
-        if (d.newLine) {
+        // block) by an op on the same line, so only a block's first
+        // op and line transitions consult the I-cache.
+        if (fetchBlockStart_ || pc % 64 == 0) {
             Addr line = pc / 64;
             if (line != lastFetchLine_) {
                 lastFetchLine_ = line;
@@ -1139,13 +1130,9 @@ Pipeline::doFetch()
             break;
         }
 
-        // Straight-line ops advance the cursor; any terminator
-        // (including a fence or an untaken-path branch) ends the
-        // block and the next iteration re-resolves from fetch_.
-        if (d.kind >= kSbBranch)
-            fetchSb_ = nullptr;
-        else
-            ++fetchSbPos_;
+        // Any terminator (including a fence or an untaken-path
+        // branch) ends the block.
+        fetchBlockStart_ = op.op >= Op::Branch;
 
         if (op.op == Op::Load)
             ++inflightLoads_;
@@ -1220,10 +1207,8 @@ Pipeline::restore(const Snapshot &s)
     // rewind; firing them against restored state would be a use of a
     // dead world. The rewound experiment re-schedules its own.
     scheduled_.clear();
-    // Decoded superblocks derive from the immutable Program and stay
-    // valid; only the cursor (front-end position) is rewound.
-    fetchSb_ = nullptr;
-    fetchSbPos_ = 0;
+    // The front-end position is rewound: a block starts afresh.
+    fetchBlockStart_ = true;
     // The sampling phase machine anchors on the cumulative committed
     // count, which just rewound with the stats.
     resetSampling();
@@ -1285,8 +1270,7 @@ Pipeline::run(FuncId entry)
     fetchBlockedOnSeq_ = RobEntry::kNoSeq;
     fetchStallUntil_ = 0;
     lastFetchLine_ = ~Addr{0};
-    fetchSb_ = nullptr;
-    fetchSbPos_ = 0;
+    fetchBlockStart_ = true;
     // Per-run latch: the structured event log is consulted once, not
     // per committed/squashed micro-op. Same for the leakage ledger's
     // armed state and the run's syscall entry point (attribution).
@@ -1329,18 +1313,6 @@ Pipeline::run(FuncId entry)
                 "Pipeline::run exceeded maxCycles; likely deadlock");
         }
     }
-
-    // Superblock-cache telemetry for the harness (bench_report's
-    // summary): published as deltas because the cache spans runs
-    // while the stats may be cleared between them. Harness-side
-    // counters, like ff.*: the two execution modes may legitimately
-    // disagree on them.
-    stats_.counter("sb.cache.hits")
-        .inc(sbCache_.hits() - sbHitsSeen_);
-    stats_.counter("sb.cache.misses")
-        .inc(sbCache_.misses() - sbMissesSeen_);
-    sbHitsSeen_ = sbCache_.hits();
-    sbMissesSeen_ = sbCache_.misses();
 
     RunResult r;
     r.cycles = now_ - start;

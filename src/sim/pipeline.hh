@@ -43,7 +43,6 @@
 #include "program.hh"
 #include "sampling.hh"
 #include "stats.hh"
-#include "superblock.hh"
 #include "tlb.hh"
 #include "trace.hh"
 #include "types.hh"
@@ -658,21 +657,13 @@ class Pipeline
     FuncId fetchFuncCached_ = kNoFunc;
     const Function *fetchFuncPtr_ = nullptr;
 
-    /** Predecoded superblocks for the front end (and the fast-forward
-     * engine): op pointers, PCs, line-transition flags and flat
-     * dispatch kinds, resolved once per straight-line run. */
-    SuperblockCache sbCache_;
-    /** Fetch cursor into the current superblock; null after any
-     * front-end redirect (taken branch, call, return, squash) and
-     * re-resolved from (fetch_.func, fetch_.idx) on demand. Survives
-     * width/capacity/stall breaks mid-block. */
-    const Superblock *fetchSb_ = nullptr;
-    std::size_t fetchSbPos_ = 0;
-    /** Cache hit/miss totals already published into stats_ (the
-     * cache accumulates for the pipeline's lifetime while stats may
-     * be cleared between runs, so run() publishes deltas). */
-    std::uint64_t sbHitsSeen_ = 0;
-    std::uint64_t sbMissesSeen_ = 0;
+    /** The next op to fetch starts a straight-line block: set after
+     * every front-end redirect (taken branch, call, return, squash,
+     * restore) and after every terminator, cleared once an op is
+     * fetched. A block's first op, and any op starting a new 64-byte
+     * line (pc % 64 == 0), consults the I-cache; later ops of the
+     * line were preceded by an op on the same line. */
+    bool fetchBlockStart_ = true;
 
     // Fast-forward engine state (see pipeline_ff.cc). Latched per run.
     bool ffMode_ = false;
@@ -709,7 +700,6 @@ class Pipeline
         Addr pc = 0;
         FuncId func = kNoFunc;
         std::uint32_t idx = 0;
-        std::uint8_t kind = 0; ///< SbKind
         std::uint8_t state = 0; ///< 0 wait, 1 exec, 2 done, 3 committed
         std::uint8_t pendingSrcs = 0;
         bool kernel = false;

@@ -86,27 +86,27 @@ Pipeline::fastForwardRegion()
     // caches/TLB/memory in the same order, so every latency, counter
     // and histogram sample lands exactly as in the detailed loop.
 
-    // Resolve the front-end position exactly as doFetch would.
-    if (!fetchSb_) {
-        if (fetch_.func != fetchFuncCached_) {
-            fetchFuncCached_ = fetch_.func;
-            fetchFuncPtr_ = &prog_.func(fetch_.func);
-        }
-        fetchSb_ = &sbCache_.at(fetch_.func, fetch_.idx);
-        fetchSbPos_ = 0;
+    // A region holds straight-line ops plus the Jumps and Calls that
+    // chain it; the first predictor-resolved control op, fence, or
+    // the end of a body (which the detailed path asserts on) ends it.
+    auto endsRegion = [](const Function &fn, std::uint32_t idx) {
+        if (idx >= fn.body.size())
+            return true;
+        Op o = fn.body[idx].op;
+        return o >= Op::Branch && o != Op::Jump && o != Op::Call;
+    };
+    if (fetch_.func != fetchFuncCached_) {
+        fetchFuncCached_ = fetch_.func;
+        fetchFuncPtr_ = &prog_.func(fetch_.func);
     }
-    const Superblock *sb = fetchSb_;
-    std::size_t pos = fetchSbPos_;
-    {
-        std::uint8_t k = sb->ops[pos].kind;
-        if (k >= kSbBranch && k != kSbJump && k != kSbCall)
-            return 0; // a resolver-terminator is up next
-    }
+    if (endsRegion(*fetchFuncPtr_, fetch_.idx))
+        return 0; // a resolver-terminator is up next
 
     SpeculationPolicy *pol = policy_ ? policy_ : &unsafe_;
     FuncId curFunc = fetch_.func;
     const Function *curFn = fetchFuncPtr_;
     std::uint32_t curIdx = fetch_.idx;
+    bool blockStart = fetchBlockStart_;
     const std::uint64_t seqBase = nextSeq_;
     const Cycle entryNow = now_;
 
@@ -153,8 +153,8 @@ Pipeline::fastForwardRegion()
     // non-speculative op classes a region can hold. No gate checks
     // (never speculative), no fence case (fences end regions).
     auto tryIssueFf = [&](FfEntry &e, std::uint32_t id) -> bool {
-        switch (e.kind) {
-          case kSbLoad: {
+        switch (e.op->op) {
+          case Op::Load: {
             if (!e.addrValid) {
                 Addr base = e.op->src1 != kNoReg ? e.srcVal[0] : 0;
                 e.effAddr =
@@ -193,7 +193,7 @@ Pipeline::fastForwardRegion()
             ctrLoads_.inc();
             return true;
           }
-          case kSbStore: {
+          case Op::Store: {
             Addr base = e.op->src1 != kNoReg ? e.srcVal[0] : 0;
             e.effAddr = base + static_cast<std::uint64_t>(e.op->imm);
             e.addrValid = true;
@@ -208,7 +208,7 @@ Pipeline::fastForwardRegion()
             heapPush(e.done, id);
             return true;
           }
-          case kSbCall: {
+          case Op::Call: {
             // Return-address push: allocate the stack line.
             if (e.effAddr != 0)
                 caches_.accessData(e.effAddr, &stats_);
@@ -218,7 +218,7 @@ Pipeline::fastForwardRegion()
             heapPush(e.done, id);
             return true;
           }
-          case kSbMul: {
+          case Op::IntMul: {
             std::uint64_t b =
                 e.op->src2 != kNoReg
                     ? e.srcVal[1]
@@ -230,15 +230,15 @@ Pipeline::fastForwardRegion()
             heapPush(e.done, id);
             return true;
           }
-          case kSbNop:
-          case kSbJump: {
+          case Op::Nop:
+          case Op::Jump: {
             e.state = 1;
             e.issue = now_;
             e.done = now_ + 1;
             heapPush(e.done, id);
             return true;
           }
-          default: { // unfolded ALU kinds
+          default: { // IntAlu
             std::uint64_t b =
                 e.op->src2 != kNoReg
                     ? e.srcVal[1]
@@ -261,14 +261,14 @@ Pipeline::fastForwardRegion()
                 break;
             if (e.op->dst != kNoReg)
                 regs_[e.op->dst] = e.result;
-            if (e.kind == kSbStore) {
+            if (e.op->op == Op::Store) {
                 mem_.write(e.effAddr, e.srcVal[1]);
                 caches_.accessData(e.effAddr, &stats_);
                 assert(!ffStores_.empty() &&
                        ffStores_.front() == head);
                 ffStores_.erase(ffStores_.begin());
                 --sts;
-            } else if (e.kind == kSbLoad) {
+            } else if (e.op->op == Op::Load) {
                 --lds;
             }
             ctrCommitted_.inc();
@@ -324,31 +324,21 @@ Pipeline::fastForwardRegion()
     auto fetchPhase = [&]() {
         while (fetched < params_.width &&
                ffEnts_.size() - head < params_.robSize) {
-            if (!sb) {
-                if (curFunc != fetchFuncCached_) {
-                    fetchFuncCached_ = curFunc;
-                    fetchFuncPtr_ = &prog_.func(curFunc);
-                }
-                curFn = fetchFuncPtr_;
-                sb = &sbCache_.at(curFunc, curIdx);
-                pos = 0;
-            }
-            const SbOp &d = sb->ops[pos];
-            if (d.kind >= kSbBranch && d.kind != kSbJump &&
-                d.kind != kSbCall) {
+            if (endsRegion(*curFn, curIdx)) {
                 ended = true;
                 return;
             }
-            const MicroOp &op = *d.op;
-            if (d.kind == kSbLoad && lds >= params_.lqSize)
+            const MicroOp &op = curFn->body[curIdx];
+            if (op.op == Op::Load && lds >= params_.lqSize)
                 return;
-            if (d.kind == kSbStore && sts >= params_.sqSize)
+            if (op.op == Op::Store && sts >= params_.sqSize)
                 return;
-            if (d.newLine) {
-                Addr line = d.pc / 64;
+            Addr pc = curFn->instAddr(curIdx);
+            if (blockStart || pc % 64 == 0) {
+                Addr line = pc / 64;
                 if (line != lastFetchLine_) {
                     lastFetchLine_ = line;
-                    Cycle lat = caches_.accessInst(d.pc, &stats_);
+                    Cycle lat = caches_.accessInst(pc, &stats_);
                     if (lat > caches_.l1i().params().hit_latency) {
                         fetchStallUntil_ = now_ + lat;
                         return;
@@ -358,8 +348,7 @@ Pipeline::fastForwardRegion()
 
             FfEntry e;
             e.op = &op;
-            e.pc = d.pc;
-            e.kind = d.kind;
+            e.pc = pc;
             e.func = curFunc;
             e.idx = curIdx;
             e.kernel = curFn->kernel;
@@ -379,10 +368,10 @@ Pipeline::fastForwardRegion()
             }
 
             bool stopFetch = false;
+            blockStart = op.op == Op::Jump || op.op == Op::Call;
             switch (op.op) {
               case Op::Jump:
                 curIdx = op.target;
-                sb = nullptr;
                 break;
               case Op::Call: {
                 Frame fr;
@@ -402,14 +391,13 @@ Pipeline::fastForwardRegion()
                     stats_.inc("kernel_entries");
                 }
                 curFunc = op.callee;
+                curFn = &callee;
                 curIdx = 0;
-                sb = nullptr;
                 stopFetch = fetchStallUntil_ > now_;
                 break;
               }
               default:
                 curIdx += 1;
-                ++pos;
                 break;
             }
 
@@ -432,9 +420,9 @@ Pipeline::fastForwardRegion()
                 ffReady_.push_back(id); // youngest: append keeps order
             if (op.dst != kNoReg)
                 ffRegWriter_[op.dst] = static_cast<std::int32_t>(id);
-            if (e.kind == kSbLoad) {
+            if (op.op == Op::Load) {
                 ++lds;
-            } else if (e.kind == kSbStore) {
+            } else if (op.op == Op::Store) {
                 ffStores_.push_back(id);
                 ffPendSt_.push_back(id);
                 ++sts;
@@ -483,8 +471,7 @@ Pipeline::fastForwardRegion()
     // dispatch the terminator itself.
     fetch_.func = curFunc;
     fetch_.idx = curIdx;
-    fetchSb_ = sb;
-    fetchSbPos_ = pos;
+    fetchBlockStart_ = blockStart;
     nextSeq_ = seqBase + ffEnts_.size();
     ctrFfEntries_.inc();
     ctrFfCycles_.inc(now_ - entryNow);
@@ -543,12 +530,12 @@ Pipeline::fastForwardRegion()
             readyQ_.emplace_back(r.seq, &r);
         else if (r.state == EState::Executing)
             eventQ_.emplace(r.doneCycle, r.seq, &r);
-        if (e.kind == kSbStore) {
+        if (e.op->op == Op::Store) {
             storeQ_.emplace_back(r.seq, &r);
             if (!r.addrValid)
                 pendingStores_.push_back(r.seq);
             ++inflightStores_;
-        } else if (e.kind == kSbLoad) {
+        } else if (e.op->op == Op::Load) {
             ++inflightLoads_;
         }
     }
@@ -655,43 +642,34 @@ Pipeline::functionalAdvance(std::uint64_t budget, bool warm,
     // caches via warmAccess — are driven with accounting-free
     // accesses; the skip phase touches nothing microarchitectural.
     // Only the committed-micro-op counters advance.
-    fetchSb_ = nullptr; // the front end moves; drop the cursor
+    fetchBlockStart_ = true; // the front end moves
 
     FuncId func = fetch_.func;
     std::uint32_t idx = fetch_.idx;
-    const Superblock *sb = nullptr;
-    std::size_t pos = 0;
-    const Function *fn = nullptr;
+    const Function *fn = &prog_.func(func);
+    bool blockStart = true;
 
     std::uint64_t done = 0;
     while (done < budget) {
-        if (!sb) {
-            if (func != fetchFuncCached_) {
-                fetchFuncCached_ = func;
-                fetchFuncPtr_ = &prog_.func(func);
-            }
-            fn = fetchFuncPtr_;
-            sb = &sbCache_.at(func, idx);
-            pos = 0;
-        }
-        const SbOp &d = sb->ops[pos];
-        assert(d.kind != kSbEnd &&
+        assert(idx < fn->body.size() &&
                "functional advance ran off a function body");
-        const MicroOp &op = *d.op;
-        if (warm && d.newLine) {
-            Addr line = d.pc / 64;
+        const MicroOp &op = fn->body[idx];
+        const Addr pc = fn->instAddr(idx);
+        if (warm && (blockStart || pc % 64 == 0)) {
+            Addr line = pc / 64;
             if (line != lastFetchLine_) {
                 lastFetchLine_ = line;
-                caches_.accessInst(d.pc, nullptr);
+                caches_.accessInst(pc, nullptr);
             }
         }
+        blockStart = op.op >= Op::Branch;
         ++done;
         ctrCommitted_.inc();
         if (fn->kernel)
             ctrCommittedKernel_.inc();
 
-        switch (d.kind) {
-          case kSbLoad: {
+        switch (op.op) {
+          case Op::Load: {
             Addr ea = (op.src1 != kNoReg ? regs_[op.src1] : 0) +
                       static_cast<std::uint64_t>(op.imm);
             if (warm) {
@@ -699,7 +677,7 @@ Pipeline::functionalAdvance(std::uint64_t budget, bool warm,
                 caches_.accessData(ea, nullptr);
                 if (fn->kernel) {
                     SpecContext ctx;
-                    ctx.pc = d.pc;
+                    ctx.pc = pc;
                     ctx.dataVa = ea;
                     ctx.func = func;
                     ctx.kernelMode = true;
@@ -710,20 +688,18 @@ Pipeline::functionalAdvance(std::uint64_t budget, bool warm,
             }
             regs_[op.dst] = mem_.read(ea);
             ++idx;
-            ++pos;
             break;
           }
-          case kSbStore: {
+          case Op::Store: {
             Addr ea = (op.src1 != kNoReg ? regs_[op.src1] : 0) +
                       static_cast<std::uint64_t>(op.imm);
             mem_.write(ea, op.src2 != kNoReg ? regs_[op.src2] : 0);
             if (warm)
                 caches_.accessData(ea, nullptr);
             ++idx;
-            ++pos;
             break;
           }
-          case kSbBranch: {
+          case Op::Branch: {
             std::uint64_t a = op.src1 != kNoReg ? regs_[op.src1] : 0;
             std::uint64_t b =
                 op.src2 != kNoReg
@@ -736,17 +712,15 @@ Pipeline::functionalAdvance(std::uint64_t budget, bool warm,
                 // tables trained against the pre-branch history.
                 std::uint64_t h = cond_.history();
                 cond_.speculate(taken);
-                cond_.update(d.pc, taken, h);
+                cond_.update(pc, taken, h);
             }
             idx = taken ? op.target : idx + 1;
-            sb = nullptr;
             break;
           }
-          case kSbJump:
+          case Op::Jump:
             idx = op.target;
-            sb = nullptr;
             break;
-          case kSbCall: {
+          case Op::Call: {
             Frame fr;
             fr.func = func;
             fr.retIdx = idx + 1;
@@ -757,21 +731,20 @@ Pipeline::functionalAdvance(std::uint64_t budget, bool warm,
                 caches_.accessData(fr.slotVa, nullptr);
             }
             func = op.callee;
+            fn = &prog_.func(func);
             idx = 0;
-            sb = nullptr;
             break;
           }
-          case kSbIndirectCall: {
+          case Op::IndirectCall: {
             std::uint64_t raw =
                 op.src1 != kNoReg ? regs_[op.src1] : 0;
             if (!validCallTarget(prog_, raw)) {
                 // Wild pointer: architected no-op call.
                 idx += 1;
-                sb = nullptr;
                 break;
             }
             if (warm)
-                btb_.update(d.pc, static_cast<FuncId>(raw));
+                btb_.update(pc, static_cast<FuncId>(raw));
             Frame fr;
             fr.func = func;
             fr.retIdx = idx + 1;
@@ -782,11 +755,11 @@ Pipeline::functionalAdvance(std::uint64_t budget, bool warm,
                 caches_.accessData(fr.slotVa, nullptr);
             }
             func = static_cast<FuncId>(raw);
+            fn = &prog_.func(func);
             idx = 0;
-            sb = nullptr;
             break;
           }
-          case kSbReturn: {
+          case Op::Return: {
             if (fetch_.stack.empty()) {
                 // Outermost return: the run is over (the op counts,
                 // exactly like the committing detailed return).
@@ -803,17 +776,16 @@ Pipeline::functionalAdvance(std::uint64_t budget, bool warm,
                 caches_.accessData(truth.slotVa, nullptr);
             }
             func = truth.func;
+            fn = &prog_.func(func);
             idx = truth.retIdx;
-            sb = nullptr;
             break;
           }
-          case kSbFence:
+          case Op::Fence:
             // Architecturally a no-op; it only orders the detailed
             // machine, which is idle here.
             idx += 1;
-            sb = nullptr;
             break;
-          default: { // straight-line ALU kinds (incl. kSbMul, kSbNop)
+          default: { // straight-line ALU ops (IntAlu, IntMul, Nop)
             if (op.dst != kNoReg) {
                 std::uint64_t a =
                     op.src1 != kNoReg ? regs_[op.src1] : 0;
@@ -824,7 +796,6 @@ Pipeline::functionalAdvance(std::uint64_t budget, bool warm,
                 regs_[op.dst] = evalAluOp(op, a, b);
             }
             ++idx;
-            ++pos;
             break;
           }
         }

@@ -9,20 +9,30 @@
  * sequences through both sides with a fixed-seed mt19937 (fully
  * deterministic, no flaking) and assert identical observable
  * behaviour after every mutation batch: query results, walk levels,
- * footprint accounting, membership, epochs and region bits.
+ * footprint accounting, membership, epochs and region bits. A last
+ * test checks the policy's DSVMT materialisation, which visits only
+ * assigned frames, against a full scan of the frame table.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 #include "core/dsvmt.hh"
 #include "core/isv.hh"
+#include "core/perspective.hh"
 #include "core/views_ref.hh"
+#include "kernel/kstate.hh"
 #include "sim/program.hh"
 
 using namespace perspective::core;
 using namespace perspective::sim;
+using perspective::kernel::DomainId;
+using perspective::kernel::kDomainReplicated;
+using perspective::kernel::kDomainUnknown;
+using perspective::kernel::KernelState;
+using perspective::kernel::OwnershipMap;
 using perspective::kernel::Pfn;
 
 namespace
@@ -381,4 +391,86 @@ TEST(ViewsDiff, DsvmtOverlappingHugeOpsMatchReference)
         ASSERT_EQ(flat.memoryBytes(), ref.memoryBytes())
             << "after op " << op;
     }
+}
+
+namespace
+{
+
+/** Scatter random ownership over the whole frame table: single frames
+ * and runs of up to 300, owned by dynamic domains 2..5, replicated,
+ * or released; the first and last frame always get an owner, and one
+ * long run is cleared so the table has wide unassigned gaps. */
+void
+scatterOwnership(OwnershipMap &own, std::mt19937_64 &rng, unsigned runs)
+{
+    const Pfn n = own.numFrames();
+    auto randomOwner = [&]() -> DomainId {
+        switch (rng() % 8) {
+          case 0: return kDomainReplicated;
+          case 1: return kDomainUnknown;
+          default: return static_cast<DomainId>(2 + rng() % 4);
+        }
+    };
+    for (unsigned i = 0; i < runs; ++i) {
+        Pfn start = rng() % n;
+        Pfn len = rng() % 2 ? 1 : 1 + rng() % 300;
+        own.assignRange(start, std::min(len, n - start), randomOwner());
+    }
+    Pfn gap = rng() % (n / 2);
+    for (Pfn p = gap; p < gap + n / 8; ++p)
+        own.release(p);
+    own.assign(0, static_cast<DomainId>(2 + rng() % 4));
+    own.assign(n - 1, kDomainReplicated);
+}
+
+/** A freshly registered context's DSVMT must give every frame the
+ * verdict of a DsvmtRef built by scanning the whole frame table. */
+void
+expectMaterialisedLikeFullScan(OwnershipMap &own, DomainId domain)
+{
+    PerspectivePolicy pol(own);
+    pol.registerContext(1, domain, nullptr);
+    const Dsvmt &tree = pol.dsvmtOf(domain);
+    DsvmtRef ref;
+    for (Pfn p = 0; p < own.numFrames(); ++p) {
+        DomainId owner = own.ownerOf(p);
+        if (owner == domain || owner == kDomainReplicated)
+            ref.setPage(p, true);
+    }
+    for (Pfn p = 0; p < own.numFrames(); ++p)
+        ASSERT_EQ(tree.queryPfn(p), ref.queryPfn(p))
+            << "domain " << domain << " pfn " << p;
+    ASSERT_EQ(tree.memoryBytes(), ref.memoryBytes())
+        << "domain " << domain;
+}
+
+} // namespace
+
+TEST(ViewsDiff, DsvmtMaterialisationMatchesFullScan)
+{
+    Memory mem;
+    KernelState ks{mem};
+    OwnershipMap &own = ks.ownership();
+    ASSERT_EQ(own.numFrames(), Pfn{1} << 18);
+    std::mt19937_64 rng(0xd5f7a7);
+
+    scatterOwnership(own, rng, 3000);
+    ASSERT_NE(own.ownerOf(0), kDomainUnknown);
+    ASSERT_EQ(own.ownerOf(own.numFrames() - 1), kDomainReplicated);
+    for (DomainId d = 2; d < 6; ++d)
+        expectMaterialisedLikeFullScan(own, d);
+
+    // Reassignment after a restore: the snapshot's ownership (and
+    // nothing assigned after it) is what a new context must see, plus
+    // whatever is assigned after the restore.
+    KernelState::Snapshot snap = ks.snapshot();
+    scatterOwnership(own, rng, 3000);
+    ks.restore(snap);
+    for (DomainId d = 2; d < 6; ++d)
+        expectMaterialisedLikeFullScan(own, d);
+    scatterOwnership(own, rng, 500);
+    own.release(0);
+    own.assign(own.numFrames() - 1, 3);
+    for (DomainId d = 2; d < 6; ++d)
+        expectMaterialisedLikeFullScan(own, d);
 }

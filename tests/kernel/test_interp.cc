@@ -135,3 +135,58 @@ TEST(Interp, WildIndirectTargetIsSkipped)
     EXPECT_TRUE(r.completed);
     EXPECT_EQ(in.regValue(2), 1u);
 }
+
+/**
+ * Ran-off-the-end rule: a body that ends without a return unwinds
+ * like a return — the caller resumes after its call — but the missing
+ * op charges no uop. The rule needs no layout() (tests often assign
+ * bodies without one).
+ */
+TEST(Interp, RanOffTheEndReturnsToCallerWithoutChargingAUop)
+{
+    Program prog;
+    FuncId noRet = prog.addFunction("no_ret", true); // no ret
+    FuncId empty = prog.addFunction("empty", true);  // no ops
+    FuncId top = prog.addFunction("top", true);
+    prog.func(noRet).body = {movImm(5, 7), addImm(5, 5, 1)};
+    prog.func(top).body = {
+        call(noRet),
+        call(empty),
+        addImm(6, 5, 1),
+        ret(),
+    };
+    Memory mem;
+    Interpreter in(prog, mem);
+    std::vector<FuncId> seen;
+    auto r = in.run(top, 1000, [&](FuncId f) { seen.push_back(f); });
+    EXPECT_TRUE(r.completed);
+    EXPECT_EQ(in.regValue(6), 9u);
+    // call, movImm, addImm, call, addImm, ret: nothing for the two
+    // bodies that ran out.
+    EXPECT_EQ(r.uops, 6u);
+    EXPECT_EQ(seen, (std::vector<FuncId>{top, noRet, empty}));
+}
+
+TEST(Interp, RanOffTheEndOfTheEntryCompletesTheRun)
+{
+    Program prog;
+    FuncId f = prog.addFunction("main", true);
+    // The branch targets an index past the end of the body; the jump
+    // is never reached.
+    prog.func(f).body = {
+        movImm(1, 3),
+        branchImm(Cond::Eq, 1, 3, 9),
+        jump(0),
+    };
+    Memory mem;
+    Interpreter in(prog, mem);
+    auto r = in.run(f);
+    EXPECT_TRUE(r.completed);
+    EXPECT_EQ(r.uops, 2u);
+
+    // The budget check still precedes the end-of-body unwind.
+    in.reset();
+    auto cut = in.run(f, 2);
+    EXPECT_FALSE(cut.completed);
+    EXPECT_EQ(cut.uops, 2u);
+}

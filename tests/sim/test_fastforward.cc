@@ -168,13 +168,11 @@ seedMemory(Memory &mem)
 }
 
 /** Harness-side counters the two modes may legitimately disagree
- * on: ff.* (the replica's own accounting) and sb.cache.* (the
- * fast-forward engine takes extra superblock-cache lookups). */
+ * on: ff.* (the replica's own accounting). */
 bool
 harnessCounter(const std::string &name)
 {
-    return name.rfind("ff.", 0) == 0 ||
-           name.rfind("sb.cache.", 0) == 0;
+    return name.rfind("ff.", 0) == 0;
 }
 
 /** Everything but the harness meta-counters must match exactly. */
@@ -306,7 +304,7 @@ TEST(FastForward, LongRegionCommitsThroughReplica)
 /**
  * Wild indirect-call targets resolve to an architected no-op call —
  * the rule shared between the interpreter and the pipeline
- * (sim/superblock.hh validCallTarget) — in both execution modes.
+ * (sim/program.hh validCallTarget) — in both execution modes.
  */
 TEST(FastForward, WildIndirectTargetMatchesAcrossModes)
 {
