@@ -4,8 +4,9 @@
  * wall second does the harness itself sustain? Runs the full LEBench
  * (workload x scheme) grid twice — once with the boot-snapshot fast
  * path disabled (every cell boots its own kernel image) and once with
- * it enabled (one boot per seed, restored copy-on-write) — and
- * reports per-cell and aggregate MIPS plus the fast-path speedup.
+ * it enabled (one boot per seed, restored copy-on-write) — then once
+ * more in sampled mode, and reports per-cell and aggregate MIPS plus
+ * the speedups.
  *
  * The per-cell "mips" figure also lands in the --json emission (see
  * cellToJson), so CI can archive throughput alongside the simulated
@@ -66,7 +67,7 @@ main(int argc, char **argv)
     std::vector<Scheme> schemes = allSchemes();
     auto suite = lebenchSuite();
 
-    auto makeGrid = [&](const char *boot_tag, bool fastForward,
+    auto makeGrid = [&](const char *boot_tag,
                         sim::SamplingParams sampling = {}) {
         std::vector<SweepCell> cells;
         for (const auto &w : suite) {
@@ -76,11 +77,9 @@ main(int argc, char **argv)
                 c.scheme = s;
                 c.iterations = kIterations;
                 c.warmup = kWarmup;
-                c.fastForward = fastForward;
                 c.sampling = sampling;
                 c.tags["boot"] = boot_tag;
                 c.tags["exec"] = sampling.enabled ? "sampled"
-                                 : fastForward    ? "fastforward"
                                                   : "detailed";
                 cells.push_back(std::move(c));
             }
@@ -96,26 +95,18 @@ main(int argc, char **argv)
     BootImage::setSnapshotEnabled(false);
     BootImage::dropCache();
     double w0 = sweep.wallSeconds();
-    auto fresh = sweep.run(makeGrid("fresh", false));
+    auto fresh = sweep.run(makeGrid("fresh"));
     ModeTotals freshT = totalsOf(fresh, sweep.wallSeconds() - w0);
 
     BootImage::setSnapshotEnabled(true);
     double w1 = sweep.wallSeconds();
-    auto shared = sweep.run(makeGrid("shared", false));
+    auto shared = sweep.run(makeGrid("shared"));
     ModeTotals sharedT = totalsOf(shared, sweep.wallSeconds() - w1);
 
-    // Shared boot again with fast-forward execution (DESIGN §5.5):
-    // same simulated results bit for bit — the goldens and the
-    // differential suite enforce that — so any MIPS delta is pure
-    // harness throughput.
-    double w2 = sweep.wallSeconds();
-    auto sharedFf = sweep.run(makeGrid("shared", true));
-    ModeTotals sharedFfT = totalsOf(sharedFf, sweep.wallSeconds() - w2);
-
-    // Fourth pass: sampled simulation (DESIGN §5.8) on the shared
+    // Third pass: sampled simulation (DESIGN §5.8) on the shared
     // boot. Statistical rather than bit-exact, so it runs in its own
     // runner emitting to a separate "-sampled" JSON — the main
-    // emission stays the 513-cell exact grid CI compares
+    // emission stays the 342-cell exact grid CI compares
     // bit-identically. Skipped under fleet: coordinator and workers
     // must construct identical batch sequences, and the second
     // runner would fork that lockstep.
@@ -137,7 +128,7 @@ main(int argc, char **argv)
         SweepRunner sampledSweep(sopts);
         sim::SamplingParams sp;
         sp.enabled = true;
-        auto sampled = sampledSweep.run(makeGrid("shared", true, sp));
+        auto sampled = sampledSweep.run(makeGrid("shared", sp));
         sampledT = totalsOf(sampled, sampledSweep.wallSeconds());
         sampledCells = sampled.size();
         if (!sampledSweep.emitOutputs())
@@ -171,8 +162,6 @@ main(int argc, char **argv)
                 fresh.size(), freshT.wall, freshT.mips());
     std::printf("%-12s %10zu %10.2f %10.2f\n", "shared",
                 shared.size(), sharedT.wall, sharedT.mips());
-    std::printf("%-12s %10zu %10.2f %10.2f\n", "shared+ff",
-                sharedFf.size(), sharedFfT.wall, sharedFfT.mips());
     if (sampledCells > 0)
         std::printf("%-12s %10zu %10.2f %10.2f\n", "shared+smpl",
                     sampledCells, sampledT.wall, sampledT.mips());
@@ -180,15 +169,11 @@ main(int argc, char **argv)
         std::printf("\nboot-snapshot speedup: %.2fx (aggregate "
                     "simulated MIPS, %u jobs)\n",
                     sharedT.mips() / freshT.mips(), sweep.jobs());
-    if (sharedT.mips() > 0)
-        std::printf("fast-forward speedup:  %.2fx over the shared-"
-                    "boot detailed loop\n",
-                    sharedFfT.mips() / sharedT.mips());
-    if (sampledCells > 0 && sharedFfT.mips() > 0)
-        std::printf("sampled speedup:       %.2fx over the fast-"
-                    "forward loop (statistical; bench_report "
+    if (sampledCells > 0 && sharedT.mips() > 0)
+        std::printf("sampled speedup:       %.2fx over the shared-"
+                    "boot detailed loop (statistical; bench_report "
                     "--accuracy-baseline gates the error)\n",
-                    sampledT.mips() / sharedFfT.mips());
+                    sampledT.mips() / sharedT.mips());
 
     return sweep.emitOutputs() ? 0 : 1;
 }

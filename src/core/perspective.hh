@@ -170,12 +170,12 @@ class PerspectivePolicy : public sim::SpeculationPolicy
     /** Revocations scheduled but not yet landed (the open window). */
     std::size_t pendingRevocations() const { return pending_.size(); }
 
-    /** Fast-forward is deferred while a revocation window is open:
-     * landing is driven by gate checks against the clock, and the
-     * conservative contract (DESIGN §5.5) keeps the detailed path in
-     * charge whenever dynamic-update state is in flight. */
+    /** Functional sampling phases are deferred while a revocation
+     * window is open: landing is driven by gate checks against the
+     * clock, so the detailed path stays in charge whenever
+     * dynamic-update state is in flight (DESIGN §5.8). */
     bool
-    allowFastForward() const override
+    allowFunctionalSkip() const override
     {
         return pending_.empty();
     }

@@ -84,15 +84,8 @@ namespace
 std::string
 costKeyOf(const std::string &configHash, ExecMode mode)
 {
-    switch (mode) {
-    case ExecMode::FastForward:
-        return configHash + "-ff";
-    case ExecMode::Sampled:
-        return configHash + "-sampled";
-    case ExecMode::Detailed:
-        break;
-    }
-    return configHash;
+    return mode == ExecMode::Sampled ? configHash + "-sampled"
+                                     : configHash;
 }
 
 } // namespace

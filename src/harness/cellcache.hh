@@ -28,8 +28,8 @@
  * seconds (epoch-independent — timing estimates stay useful across
  * result-epoch bumps). The sweep scheduler uses these to submit
  * longest-first. Costs are keyed by (config hash, execution mode):
- * fast-forward runs the same cell ~3x faster than detailed (PR 8),
- * so a mode-blind estimate recorded under one mode is ~3x stale when
+ * sampled runs the same cell ~9x faster than detailed, so a
+ * mode-blind estimate recorded under one mode is badly stale when
  * the cell is next scheduled under the other. With no cache
  * directory the cache still keeps an in-memory cost table so later
  * run() batches in the same process schedule cost-aware.
@@ -55,7 +55,7 @@ namespace perspective::harness
  * edited defaults, toolchain quirks being chased, …). Part of the
  * code fingerprint, so a bump invalidates every cached cell.
  */
-inline constexpr unsigned kSimResultEpoch = 6; // -sb.cache.* cell stats
+inline constexpr unsigned kSimResultEpoch = 7; // -ff.* cell stats
 
 /**
  * The code half of the cache key: a 16-hex-digit FNV-1a over the
@@ -66,15 +66,14 @@ inline constexpr unsigned kSimResultEpoch = 6; // -sb.cache.* cell stats
 std::string codeFingerprint(unsigned epoch = kSimResultEpoch);
 
 /**
- * Execution mode of a cell, as the cost table keys on it. Three
- * distinct timing regimes: detailed (~1x), fast-forward (~3x, still
- * timing-exact) and sampled (~an order of magnitude, statistical) —
- * an estimate recorded under one mode is badly stale under another.
+ * Execution mode of a cell, as the cost table keys on it. Two
+ * distinct timing regimes: detailed (~1x) and sampled (~an order of
+ * magnitude, statistical) — an estimate recorded under one mode is
+ * badly stale under the other.
  */
 enum class ExecMode
 {
     Detailed,
-    FastForward,
     Sampled,
 };
 
@@ -128,24 +127,6 @@ class CellCache
      * (always in memory; also on disk when persistent). */
     void storeCost(const std::string &configHash, ExecMode mode,
                    double seconds);
-
-    /** Two-mode convenience forms (pre-sampling callers and tests):
-     * @p fastForward false = Detailed, true = FastForward. */
-    std::optional<double> loadCost(const std::string &configHash,
-                                   bool fastForward)
-    {
-        return loadCost(configHash, fastForward
-                                        ? ExecMode::FastForward
-                                        : ExecMode::Detailed);
-    }
-    void storeCost(const std::string &configHash, bool fastForward,
-                   double seconds)
-    {
-        storeCost(configHash,
-                  fastForward ? ExecMode::FastForward
-                              : ExecMode::Detailed,
-                  seconds);
-    }
 
     Stats stats() const;
 

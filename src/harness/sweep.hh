@@ -55,13 +55,6 @@ struct SweepCell
     unsigned iterations = 30;
     unsigned warmup = 3;
 
-    /** Fast-forward execution mode (timing-exact; DESIGN §5.5).
-     * Part of the cell's config hash: although results are
-     * bit-identical by contract, the modes must never share cache
-     * entries — a cached cell must replay the mode that produced
-     * it. Defaults to the PERSPECTIVE_FASTFWD environment switch. */
-    bool fastForward = workloads::Experiment::fastForwardDefault();
-
     /** Sampled simulation (statistical; DESIGN §5.8). Enabled cells
      * mix the full sampling spec into the config hash, so sampled
      * and exact cells never share cache entries or cost-table rows;
@@ -91,7 +84,6 @@ struct CellResult
     std::uint64_t seed = 0;
     unsigned iterations = 0;
     unsigned warmup = 0;
-    bool fastForward = false;
     /** Sampling configuration the cell ran under (disabled = exact);
      * the outcome lives in result.sampling. */
     sim::SamplingParams sampling;

@@ -187,7 +187,7 @@ h_store: {
     if (!dryStores_) {
         Addr ea = (op.src1 != kNoReg ? regs_[op.src1] : 0) +
                   static_cast<std::uint64_t>(op.imm);
-        mem_.write(ea, regs_[op.src2]);
+        mem_.write(ea, op.src2 != kNoReg ? regs_[op.src2] : 0);
     }
     ++cur;
     DISPATCH();
@@ -196,7 +196,7 @@ h_store: {
 h_branch: {
     ++res.uops;
     const MicroOp &op = *cur;
-    std::uint64_t a = regs_[op.src1];
+    std::uint64_t a = op.src1 != kNoReg ? regs_[op.src1] : 0;
     std::uint64_t b = op.src2 != kNoReg
                           ? regs_[op.src2]
                           : static_cast<std::uint64_t>(op.imm);
@@ -221,7 +221,7 @@ h_call:
 
 h_icall: {
     ++res.uops;
-    std::uint64_t raw = regs_[cur->src1];
+    std::uint64_t raw = cur->src1 != kNoReg ? regs_[cur->src1] : 0;
     if (!validCallTarget(prog_, raw)) {
         // Wild pointer: architected no-op call, fall through.
         ++cur;

@@ -5,8 +5,13 @@
  * timing) and reports which functions run. It is the engine behind:
  *
  *  - the ftrace-style tracer that builds dynamic ISVs (Section 5.3),
- *  - the Kasper/Syzkaller-style fuzzing loop of the gadget scanner,
- *  - the fast-forward executor's functional half (DESIGN §5.5).
+ *  - the Kasper/Syzkaller-style fuzzing loop of the gadget scanner.
+ *
+ * The sampled pipeline's functional phases
+ * (Pipeline::functionalAdvance) implement the same semantics over the
+ * pipeline's own registers and stack; tests/sim/test_differential.cc
+ * pins the two, and the detailed pipeline, to one result. A source
+ * operand of kNoReg reads as 0 on every path.
  *
  * Dispatch is threaded straight over each Function::body (the op's
  * own Op/AluOp bytes pick the handler), so an interpreter decodes

@@ -174,14 +174,14 @@ class SpeculationPolicy
     virtual bool shadowStack() const { return false; }
 
     /**
-     * May the core engage the fast-forward engine right now
-     * (PipelineParams::fastForward, DESIGN §5.5)? Fast-forwarded
-     * regions are non-speculative by construction and never reach
-     * gateLoad, so the default is yes; a policy holding state it
-     * wants re-examined on the detailed path (e.g. an open deferred-
-     * revocation window) answers no until that state drains.
+     * May the core run a functional sampling phase right now
+     * (PipelineParams::sampling, DESIGN §5.8)? Functional skip and
+     * warm phases are non-speculative by construction and never
+     * reach gateLoad, so the default is yes; a policy holding state
+     * it wants re-examined on the detailed path (e.g. an open
+     * deferred-revocation window) answers no until that state drains.
      */
-    virtual bool allowFastForward() const { return true; }
+    virtual bool allowFunctionalSkip() const { return true; }
 
     /**
      * Functional-warming hook (sampled simulation, DESIGN §5.8): the

@@ -5,11 +5,12 @@
  * Programs; the pipeline fetches micro-ops from one by (FuncId, index).
  *
  * A laid-out Program is read-only during simulation and is its own
- * predecode: every consumer (pipeline front end, fast-forward engine,
- * interpreter) walks Function::body in place, the op at (func, idx)
- * sits at base + kInstBytes * idx, and dispatch reads the op's own
- * Op/AluOp bytes. Nothing decoded is kept per consumer, so stacks on
- * any number of threads share one image (DESIGN §5.5).
+ * predecode: every consumer (pipeline front end, the sampled
+ * pipeline's functional phases, interpreter) walks Function::body in
+ * place, the op at (func, idx) sits at base + kInstBytes * idx, and
+ * dispatch reads the op's own Op/AluOp bytes. Nothing decoded is
+ * kept per consumer, so stacks on any number of threads share one
+ * image.
  */
 
 #ifndef PERSPECTIVE_SIM_PROGRAM_HH

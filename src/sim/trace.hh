@@ -59,8 +59,8 @@ void reset();
 /** True when @p f is enabled (the fast-path check). */
 bool enabled(Flag f);
 
-/** True when any text-trace category is enabled (used to disengage
- * whole-region fast paths that would skip per-op log sites). */
+/** True when any text-trace category is enabled (sampled simulation
+ * stays off then: its functional phases skip per-op log sites). */
 bool anyEnabled();
 
 /**

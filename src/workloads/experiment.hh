@@ -102,29 +102,17 @@ class Experiment
 {
   public:
     /**
-     * @p fastForward selects the pipeline's fast-forward execution
-     * mode (timing-exact; see PipelineParams::fastForward). The
-     * default follows the PERSPECTIVE_FASTFWD environment variable
-     * ("1" enables), so whole suites can be flipped without code
-     * changes; benches pass it explicitly to run both modes in one
-     * process. Fast-forward cells trade the per-cycle telemetry
-     * (detailedTelemetry) for throughput.
-     *
      * @p sampling selects sampled simulation (DESIGN §5.8; the
-     * default follows PERSPECTIVE_SAMPLE). Sampling builds on the
-     * fast-forward machinery, so an enabled @p sampling implies
-     * @p fastForward regardless of the flag passed. Sampled results
-     * are statistical: RunResult::cycles is an extrapolated estimate
-     * carrying the RunResult::sampling confidence interval.
+     * default follows PERSPECTIVE_SAMPLE). Sampled cells trade the
+     * per-cycle telemetry (detailedTelemetry) for throughput, and
+     * their results are statistical: RunResult::cycles is an
+     * extrapolated estimate carrying the RunResult::sampling
+     * confidence interval.
      */
     Experiment(const WorkloadProfile &profile, Scheme scheme,
                std::uint64_t seed = 42,
-               bool fastForward = fastForwardDefault(),
                sim::SamplingParams sampling =
                    sim::SamplingParams::fromEnv());
-
-    /** True when PERSPECTIVE_FASTFWD=1 is set in the environment. */
-    static bool fastForwardDefault();
 
     /** Run @p iterations measured request iterations (after
      * @p warmup unmeasured ones) and report the aggregate. */

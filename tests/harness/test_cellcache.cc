@@ -145,9 +145,9 @@ TEST(CellCache, CostTableWorksWithoutDirectory)
     CellCache mem("");
     EXPECT_FALSE(mem.persistent());
     EXPECT_FALSE(mem.load("x").has_value());
-    EXPECT_FALSE(mem.loadCost("x", false).has_value());
-    mem.storeCost("x", false, 1.25);
-    auto c = mem.loadCost("x", false);
+    EXPECT_FALSE(mem.loadCost("x", ExecMode::Detailed).has_value());
+    mem.storeCost("x", ExecMode::Detailed, 1.25);
+    auto c = mem.loadCost("x", ExecMode::Detailed);
     ASSERT_TRUE(c.has_value());
     EXPECT_DOUBLE_EQ(*c, 1.25);
 }
@@ -157,12 +157,12 @@ TEST(CellCache, CostTablePersistsAcrossInstances)
     std::string dir = cacheDirFor("costs");
     {
         CellCache cache(dir, "fp-a");
-        cache.storeCost("cell", false, 0.5);
+        cache.storeCost("cell", ExecMode::Detailed, 0.5);
     }
     // Costs are epoch-independent: timing estimates survive a
     // fingerprint change even though results do not.
     CellCache other(dir, "fp-b");
-    auto c = other.loadCost("cell", false);
+    auto c = other.loadCost("cell", ExecMode::Detailed);
     ASSERT_TRUE(c.has_value());
     EXPECT_DOUBLE_EQ(*c, 0.5);
 }
@@ -172,19 +172,19 @@ TEST(CellCache, CostTableKeyedByExecutionMode)
     std::string dir = cacheDirFor("costs-mode");
     {
         CellCache cache(dir, "fp");
-        // The same config hash costs ~3x less under fast-forward
-        // (PR 8); the table must keep the modes apart or the LPT
-        // dispatch order runs on 3x-stale estimates.
-        cache.storeCost("cell", false, 3.0);
-        cache.storeCost("cell", true, 1.0);
+        // The same config hash costs ~9x less when sampled; the
+        // table must keep the modes apart or the LPT dispatch order
+        // runs on 9x-stale estimates.
+        cache.storeCost("cell", ExecMode::Detailed, 9.0);
+        cache.storeCost("cell", ExecMode::Sampled, 1.0);
     }
     CellCache other(dir, "fp");
-    auto detailed = other.loadCost("cell", false);
-    auto ff = other.loadCost("cell", true);
+    auto detailed = other.loadCost("cell", ExecMode::Detailed);
+    auto sampled = other.loadCost("cell", ExecMode::Sampled);
     ASSERT_TRUE(detailed.has_value());
-    ASSERT_TRUE(ff.has_value());
-    EXPECT_DOUBLE_EQ(*detailed, 3.0);
-    EXPECT_DOUBLE_EQ(*ff, 1.0);
+    ASSERT_TRUE(sampled.has_value());
+    EXPECT_DOUBLE_EQ(*detailed, 9.0);
+    EXPECT_DOUBLE_EQ(*sampled, 1.0);
 }
 
 // ---- Warm runs through the SweepRunner -----------------------------

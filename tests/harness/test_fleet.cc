@@ -266,6 +266,41 @@ forkWorker(const std::function<void()> &body)
     return pid;
 }
 
+/**
+ * Readiness handshake: each forked worker writes one byte once its
+ * FleetWorker has connected, and the parent reads one per worker
+ * before it starts a batch. No worker can then arrive after the
+ * batch has drained and the coordinator is gone (it would find the
+ * socket path unlinked and exit 99). A worker that dies first closes
+ * its write end, so the wait fails instead of hanging.
+ */
+struct ReadyPipe
+{
+    int fd[2] = {-1, -1};
+    ReadyPipe() { EXPECT_EQ(::pipe(fd), 0); }
+    ~ReadyPipe() { ::close(fd[0]); }
+
+    /** Child side: this worker is connected. */
+    void
+    signal()
+    {
+        EXPECT_EQ(::write(fd[1], "r", 1), 1);
+        ::close(fd[1]);
+    }
+
+    /** Parent side, after forking every worker. */
+    bool
+    await(unsigned workers)
+    {
+        ::close(fd[1]);
+        char c;
+        for (unsigned i = 0; i < workers; ++i)
+            if (::read(fd[0], &c, 1) != 1)
+                return false;
+        return true;
+    }
+};
+
 int
 waitExit(pid_t pid)
 {
@@ -276,26 +311,30 @@ waitExit(pid_t pid)
 
 } // namespace
 
-// The fork-based tests below destroy the coordinator (optional
-// .reset() or scope exit) BEFORE reaping workers: a worker that
-// raced in after the batch drained sits blocked on its hello, and
-// only the coordinator's teardown — closing the connections and the
-// listen socket — turns that wait into a clean EOF exit. Reaping
-// first deadlocks: waitpid() waits on a worker that waits on a
-// coordinator that is still alive but no longer serving.
+// The fork-based tests below start a batch only once every forked
+// worker has connected (ReadyPipe), and destroy the coordinator
+// (optional .reset() or scope exit) BEFORE reaping workers: a
+// connected worker whose hello arrives after the batch drained sits
+// blocked on it, and only the coordinator's teardown — closing the
+// connections and the listen socket — turns that wait into a clean
+// EOF exit. Reaping first deadlocks: waitpid() waits on a worker that
+// waits on a coordinator that is still alive but no longer serving.
 
 TEST(Fleet, ForkedWorkersServeEveryCellExactlyOnce)
 {
     const std::string path = fleetSocketPath("serve");
     std::optional<FleetCoordinator> coord(coordOpts(path));
 
+    ReadyPipe ready;
     auto workerBody = [&] {
         FleetWorker w(path);
+        ready.signal();
         w.serveBatch(0, "grid-a", "test_fleet", fakeCell);
         ::_exit(0);
     };
     pid_t w0 = forkWorker(workerBody);
     pid_t w1 = forkWorker(workerBody);
+    ASSERT_TRUE(ready.await(2));
 
     const std::vector<std::size_t> queue = {0, 1, 2, 3, 4, 5};
     std::map<std::size_t, unsigned> got;
@@ -326,8 +365,10 @@ TEST(Fleet, WorkerDeathMidCellRequeuesWithoutLoss)
     // and dies right before sending its first result; the other must
     // pick the cell back up.
     ::setenv("PERSPECTIVE_FLEET_CHAOS", "0:1", 1);
+    ReadyPipe ready;
     auto workerBody = [&] {
         FleetWorker w(path);
+        ready.signal();
         // Slow cells keep the batch alive until both workers have
         // joined — otherwise one worker can drain all six before
         // worker 0 ever requests a cell, and the chaos death (which
@@ -341,6 +382,7 @@ TEST(Fleet, WorkerDeathMidCellRequeuesWithoutLoss)
     pid_t w0 = forkWorker(workerBody);
     pid_t w1 = forkWorker(workerBody);
     ::unsetenv("PERSPECTIVE_FLEET_CHAOS");
+    ASSERT_TRUE(ready.await(2));
 
     const std::vector<std::size_t> queue = {0, 1, 2, 3, 4, 5};
     std::set<std::size_t> got;
@@ -363,17 +405,20 @@ TEST(Fleet, WarmWorkerServesTwoConsecutiveBatches)
     const std::string path = fleetSocketPath("warm");
     std::optional<FleetCoordinator> coord(coordOpts(path));
 
+    ReadyPipe ready;
     pid_t w = forkWorker([&] {
         // One process, one connection, two batches: the second
         // serveBatch must reuse the warm connection (and the warm
         // process state a real worker keeps — boot snapshots etc.).
         FleetWorker worker(path);
+        ready.signal();
         std::size_t n1 =
             worker.serveBatch(0, "grid-a", "test_fleet", fakeCell);
         std::size_t n2 =
             worker.serveBatch(1, "grid-b", "test_fleet", fakeCell);
         ::_exit(n1 == 3 && n2 == 3 ? 0 : 1);
     });
+    ASSERT_TRUE(ready.await(1));
 
     const std::vector<std::size_t> queue = {0, 1, 2};
     const std::vector<double> costs(queue.size(), 1.0);
@@ -401,8 +446,10 @@ TEST(Fleet, MismatchedGridHashIsRejectedBeforeAnyCell)
     // The impostor claims the same batch with a different grid: it
     // must be turned away at the handshake (a wrong grid would
     // compute wrong cells), and serveBatch surfaces that as a throw.
+    ReadyPipe ready;
     pid_t bad = forkWorker([&] {
         FleetWorker w(path);
+        ready.signal();
         try {
             w.serveBatch(0, "grid-other", "test_fleet", fakeCell);
         } catch (const std::runtime_error &) {
@@ -414,12 +461,14 @@ TEST(Fleet, MismatchedGridHashIsRejectedBeforeAnyCell)
     // impostor's hello to arrive, then serves everything.
     pid_t good = forkWorker([&] {
         FleetWorker w(path);
+        ready.signal();
         w.serveBatch(0, "grid-a", "test_fleet", [](std::size_t i) {
             ::usleep(30 * 1000);
             return fakeCell(i);
         });
         ::_exit(0);
     });
+    ASSERT_TRUE(ready.await(2));
 
     const std::vector<std::size_t> queue = {0, 1, 2, 3};
     std::size_t results = 0;
@@ -477,11 +526,13 @@ TEST(FleetSweep, MatchesSingleProcessRunnerBitForBit)
     } // pool threads joined before fork
 
     const std::string path = fleetSocketPath("e2e");
+    ReadyPipe ready;
     auto workerBody = [&] {
         SweepOptions wo;
         wo.benchName = "test_fleet_e2e";
         wo.connectPath = path;
-        SweepRunner worker(wo);
+        SweepRunner worker(wo); // connects eagerly
+        ready.signal();
         worker.run(fleetGrid());
         ::_exit(0);
     };
@@ -494,15 +545,13 @@ TEST(FleetSweep, MatchesSingleProcessRunnerBitForBit)
     pid_t w0 = -1;
     pid_t w1 = -1;
     {
-        // Bind the coordinator's socket BEFORE forking the workers:
-        // a worker's eager connect then succeeds on its first probe
-        // instead of landing in the 100ms-quantized retry loop — the
-        // whole batch can finish inside one retry interval, leaving
-        // a not-yet-connected worker staring at an unlinked path.
+        // Bind the coordinator's socket BEFORE forking the workers,
+        // so their eager connects succeed on the first probe.
         SweepRunner coord(co);
         ASSERT_TRUE(coord.isFleetCoordinator());
         w0 = forkWorker(workerBody);
         w1 = forkWorker(workerBody);
+        ASSERT_TRUE(ready.await(2));
         fleet = coord.run(grid);
         doc = Json::parse(coord.toJson().dump(2));
     } // teardown closes the socket; a late worker EOFs out cleanly

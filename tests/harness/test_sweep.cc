@@ -284,7 +284,7 @@ TEST(Sweep, JsonEmissionRoundTripsCounters)
 
     Json doc = Json::parse(runner.toJson().dump(2));
     EXPECT_EQ(doc.at("bench").asString(), "test_sweep");
-    EXPECT_EQ(doc.at("schema").asUint(), 5u); // +sampling block
+    EXPECT_EQ(doc.at("schema").asUint(), 6u); // -fast_forward
     EXPECT_FALSE(doc.at("git").asString().empty());
     const auto &cells = doc.at("cells").asArray();
     ASSERT_EQ(cells.size(), rs.size());
@@ -364,6 +364,26 @@ TEST(Sweep, ConfigHashKeysCellsStably)
     b = a;
     b.result.instructions = 999;
     EXPECT_EQ(cellConfigHash(a), cellConfigHash(b));
+}
+
+/** The hash recipe is part of the committed baselines: bench_report
+ * matches cells by it. This literal is the getpid/unsafe cell of
+ * bench/baselines/simspeed-release.json. */
+TEST(Sweep, ConfigHashMatchesCommittedBaseline)
+{
+    SweepCell c;
+    for (const auto &w : workloads::lebenchSuite())
+        if (w.name == "getpid")
+            c.profile = w;
+    ASSERT_EQ(c.profile.name, "getpid");
+    c.scheme = workloads::Scheme::Unsafe;
+    c.seed = 42;
+    c.iterations = 30;
+    c.warmup = 3;
+    c.sampling = {}; // exact, whatever PERSPECTIVE_SAMPLE says
+    c.tags["boot"] = "shared";
+    c.tags["exec"] = "detailed";
+    EXPECT_EQ(cellConfigHash(c), "52f9d6eab8d9f948");
 }
 
 TEST(Sweep, ChromeTraceJsonHasValidEventShape)

@@ -2,12 +2,13 @@
  * @file
  * Sampled simulation (DESIGN §5.8): the systematic-sampling
  * estimator's mean/CI math on synthetic known-variance streams, the
- * PERSPECTIVE_SAMPLE spec grammar, and two pipeline-level
- * guarantees — an infinite detailed window reproduces the
- * fast-forward run bit for bit (the sampling machinery adds nothing
- * but the phase check), and a finite-window sampled run is
- * architecturally indistinguishable from the detailed one even
- * though most instructions retire through the functional path.
+ * PERSPECTIVE_SAMPLE spec grammar, and three pipeline-level
+ * guarantees — an infinite detailed window reproduces the detailed
+ * run bit for bit (the sampling machinery adds nothing but the phase
+ * check), a finite-window sampled run is architecturally
+ * indistinguishable from the detailed one even though most
+ * instructions retire through the functional path, and a functional
+ * phase that ends the run charges no cycle after the halt.
  */
 
 #include <cmath>
@@ -29,7 +30,6 @@ sampledParams(SamplingParams sp)
 {
     PipelineParams pp;
     pp.detailedTelemetry = false;
-    pp.fastForward = true;
     pp.sampling = sp;
     return pp;
 }
@@ -196,19 +196,19 @@ TEST(SamplingParams, ParseRejectsMalformedSpecs)
 /**
  * Warming equivalence: with an infinite detailed window the sampling
  * controller never leaves the detailed phase, so the run must be
- * indistinguishable from plain fast-forward — identical cycles,
+ * indistinguishable from the plain detailed loop — identical cycles,
  * committed uops, architectural state, and every counter.
  */
-TEST(SampledPipeline, InfiniteWindowMatchesFastForwardExactly)
+TEST(SampledPipeline, InfiniteWindowMatchesDetailedExactly)
 {
     Program prog = loopProgram(1500);
 
-    Memory ff_mem;
-    seedMemory(ff_mem);
+    Memory ref_mem;
+    seedMemory(ref_mem);
     SamplingParams off;
-    Pipeline ff(prog, ff_mem, sampledParams(off));
-    auto ff_res = ff.run(0);
-    EXPECT_FALSE(ff.sampledMode());
+    Pipeline ref(prog, ref_mem, sampledParams(off));
+    auto ref_res = ref.run(0);
+    EXPECT_FALSE(ref.sampledMode());
 
     Memory sm_mem;
     seedMemory(sm_mem);
@@ -219,19 +219,19 @@ TEST(SampledPipeline, InfiniteWindowMatchesFastForwardExactly)
     auto sm_res = sm.run(0);
     EXPECT_TRUE(sm.sampledMode());
 
-    EXPECT_EQ(ff_res.cycles, sm_res.cycles);
-    EXPECT_EQ(ff_res.instructions, sm_res.instructions);
+    EXPECT_EQ(ref_res.cycles, sm_res.cycles);
+    EXPECT_EQ(ref_res.instructions, sm_res.instructions);
     EXPECT_EQ(sm.sampler().windows(), 0u); // never left the window
     for (unsigned r = 1; r <= 9; ++r)
-        EXPECT_EQ(ff.regValue(r), sm.regValue(r)) << "reg " << r;
+        EXPECT_EQ(ref.regValue(r), sm.regValue(r)) << "reg " << r;
     for (unsigned i = 0; i < 64; ++i)
-        EXPECT_EQ(ff_mem.read(0x100000 + i * 8),
+        EXPECT_EQ(ref_mem.read(0x100000 + i * 8),
                   sm_mem.read(0x100000 + i * 8))
             << "slot " << i;
-    for (const auto &[name, value] : ff.stats().all())
+    for (const auto &[name, value] : ref.stats().all())
         EXPECT_EQ(value, sm.stats().get(name)) << "counter " << name;
     for (const auto &[name, value] : sm.stats().all())
-        EXPECT_EQ(ff.stats().get(name), value) << "counter " << name;
+        EXPECT_EQ(ref.stats().get(name), value) << "counter " << name;
 }
 
 /**
@@ -283,4 +283,67 @@ TEST(SampledPipeline, FiniteWindowsPreserveArchitecturalState)
     double exact_cpi = static_cast<double>(ref_res.cycles) /
                        static_cast<double>(ref_res.instructions);
     EXPECT_NEAR(est.cpiMean(), exact_cpi, 0.25 * exact_cpi);
+}
+
+/**
+ * A functional phase that reaches the outermost return ends the run
+ * in the cycle it engaged: nothing is left to fetch or commit, so no
+ * further cycle may be charged — not even up to the completion event
+ * of a load squashed earlier in the run, which stays queued until it
+ * is lazily dropped. The first measured run below leaves exactly such
+ * an event behind (a wrong-path DRAM miss), closes its detailed
+ * window once the mispredict redirect has drained the ROB, and halts
+ * in the skip that follows; the second run is spent entirely in skip.
+ */
+TEST(SampledPipeline, FunctionalHaltChargesNoFurtherCycles)
+{
+    constexpr Addr kHit = 0x200000;  // warmed into L1, holds 0
+    constexpr Addr kMiss = 0x300000; // cold: a DRAM access
+    Program prog;
+    FuncId main = prog.addFunction("main", false);
+    FuncId warm = prog.addFunction("warm", false);
+    FuncId kfn = prog.addFunction("kfn", true);
+    prog.func(main).body = {
+        loadAbs(1, kHit),
+        // Not taken; the cold predictor says taken, so the wrong
+        // path at 4 issues the missing load before the squash.
+        branchImm(Cond::Ne, 1, 0, 4),
+        call(kfn),
+        ret(),
+        loadAbs(2, kMiss),
+        ret(),
+    };
+    prog.func(warm).body = {loadAbs(1, kHit), ret()};
+    prog.func(kfn).body = {addImm(4, 4, 1), ret()};
+    prog.layout();
+
+    Memory mem;
+    SamplingParams sp;
+    sp.enabled = true;
+    sp.windowInsts = 2;
+    sp.warmingInsts = 1;
+    sp.periodInsts = 1'000'000; // the skip outlasts both runs
+    Pipeline cpu(prog, mem, sampledParams(sp));
+    cpu.run(warm);
+    cpu.resetSampling();
+    cpu.stats().clear();
+
+    // Window: the load and the branch (plus the squashed wrong
+    // path); skip: the call, the kernel body and both returns,
+    // ending in the halt.
+    RunResult closing = cpu.run(main);
+    ASSERT_TRUE(cpu.sampledMode());
+    ASSERT_GT(cpu.stats().get("squashed_uops"), 0u)
+        << "the wrong-path load must have been squashed";
+    ASSERT_EQ(cpu.sampler().windows(), 1u);
+    EXPECT_EQ(cpu.sampler().sampledInsts(), 2u);
+    EXPECT_EQ(closing.instructions, 6u);
+    // The window opened in the run's first cycle and closed in its
+    // last: no cycle after the halt.
+    EXPECT_EQ(closing.cycles, cpu.sampler().sampledCycles() + 1);
+
+    RunResult skipped = cpu.run(main);
+    EXPECT_EQ(skipped.instructions, 6u);
+    EXPECT_EQ(skipped.cycles, 1u);
+    EXPECT_EQ(cpu.sampler().windows(), 1u);
 }
