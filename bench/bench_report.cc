@@ -4,8 +4,9 @@
  * more sweep JSON files (emitted by any bench's --json flag), prints
  * a per-file summary, and — given a baseline file — a per-cell delta
  * report on the deterministic metrics (cycles, instructions,
- * fences). Cells are matched by their provenance config hash, so a
- * reordered grid still lines up.
+ * fences, and every cell's stats counters, histograms, time series
+ * and leakage block). Cells are matched by their provenance config
+ * hash, so a reordered grid still lines up.
  *
  *   bench_report out.json                       # summarize
  *   bench_report out.json --baseline base.json  # per-cell deltas
@@ -21,7 +22,8 @@
  * cycle counts are not.
  *
  *   bench_report out.json --perf-baseline base.json
- *       # exit 1 if aggregate MIPS < 0.80x the baseline's
+ *       # exit 1 if aggregate MIPS < 0.80x the baseline's, or if
+ *       # the two sweeps ran at different --jobs counts
  *
  * Sampled sweeps (PERSPECTIVE_SAMPLE, DESIGN §5.8) are statistical:
  * --check refuses files containing sampled cells, and
@@ -61,6 +63,11 @@ using perspective::harness::Json;
 namespace
 {
 
+/** The per-cell JSON blocks --check compares verbatim beside the
+ * headline counters. */
+constexpr const char *kDetailFields[] = {"stats", "histograms",
+                                         "timeseries", "leakage"};
+
 struct Cell
 {
     std::string workload;
@@ -73,6 +80,10 @@ struct Cell
     std::uint64_t fences = 0;
     double wallSeconds = 0;
     double mips = 0; ///< instructions / wallSeconds / 1e6
+
+    /** kDetailFields entry -> its JSON text, compared exactly (key
+     * set and values). */
+    std::map<std::string, std::string> detail;
 
     // Transient-leakage accounting (zero for pre-schema-4 files).
     std::uint64_t secretLoads = 0;
@@ -96,6 +107,7 @@ struct SweepFile
     std::string bench;
     std::string git;
     double wallSeconds = 0;
+    unsigned jobs = 0; ///< the sweep's worker count (0: not recorded)
     std::uint64_t fallbackKeys = 0; ///< cells without provenance
     std::vector<Cell> cells;
 
@@ -165,19 +177,9 @@ uintOr0(const Json &obj, const char *field)
                : 0;
 }
 
-/**
- * Load a sweep document. With @p skipHeavy (set under --check, which
- * only compares the deterministic counters) the bulk per-cell
- * sub-objects — histograms and time series — are syntax-checked but
- * never materialized, so a large baseline parses without allocating
- * for payloads the comparison never reads. The dependent telemetry
- * (transient-gap percentiles) is simply absent from the summary in
- * that mode; every reader already guards on presence. @p verbose
- * prints the parse cost to pin the win.
- */
+/** Load a sweep document; @p verbose prints the parse cost. */
 SweepFile
-loadSweep(const std::string &path, bool skipHeavy = false,
-          bool verbose = false)
+loadSweep(const std::string &path, bool verbose = false)
 {
     std::ifstream is(path);
     if (!is) {
@@ -189,22 +191,13 @@ loadSweep(const std::string &path, bool skipHeavy = false,
     buf << is.rdbuf();
     const std::string &text = buf.str();
     auto t0 = std::chrono::steady_clock::now();
-    Json doc;
-    if (skipHeavy) {
-        Json::ParseOptions opts;
-        opts.skipObjectKeys = {"histograms", "timeseries"};
-        doc = Json::parse(text, opts);
-    } else {
-        doc = Json::parse(text);
-    }
+    Json doc = Json::parse(text);
     if (verbose) {
         double ms = std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - t0)
                         .count();
-        std::printf("parse %s: %zu bytes in %.1f ms%s\n",
-                    path.c_str(), text.size(), ms,
-                    skipHeavy ? " (histograms/timeseries skipped)"
-                              : "");
+        std::printf("parse %s: %zu bytes in %.1f ms\n", path.c_str(),
+                    text.size(), ms);
     }
 
     SweepFile f;
@@ -215,6 +208,7 @@ loadSweep(const std::string &path, bool skipHeavy = false,
         f.git = doc.at("git").asString();
     if (doc.contains("wall_seconds"))
         f.wallSeconds = doc.at("wall_seconds").asDouble();
+    f.jobs = static_cast<unsigned>(uintOr0(doc, "jobs"));
     if (doc.contains("schedule")) {
         const Json &sj = doc.at("schedule");
         if (sj.contains("makespan"))
@@ -262,6 +256,9 @@ loadSweep(const std::string &path, bool skipHeavy = false,
         }
         unsigned n = seen[hash]++;
         c.key = hash + "#" + std::to_string(n);
+        for (const char *field : kDetailFields)
+            if (cj.contains(field))
+                c.detail[field] = cj.at(field).dump();
         if (cj.contains("stats")) {
             const Json &st = cj.at("stats");
             f.gateChecks += uintOr0(st, "gate.checks");
@@ -499,6 +496,22 @@ summarize(const SweepFile &f)
     }
 }
 
+/** The detail fields (see Cell::detail) on which @p c and @p b
+ * differ, comma-separated; empty when they agree. A field present on
+ * one side only differs. */
+std::string
+detailDiff(const Cell &c, const Cell &b)
+{
+    std::string out;
+    for (const char *field : kDetailFields) {
+        auto i = c.detail.find(field), j = b.detail.find(field);
+        bool ci = i != c.detail.end(), bj = j != b.detail.end();
+        if (ci != bj || (ci && i->second != j->second))
+            out += out.empty() ? field : std::string(",") + field;
+    }
+    return out;
+}
+
 /** Signed delta column: "+12345" / "0". */
 std::string
 delta(std::uint64_t now, std::uint64_t base)
@@ -517,9 +530,9 @@ compare(const SweepFile &now, const SweepFile &base, bool verbose)
     const auto &baseByKey = base.byKey();
 
     unsigned diffs = 0, unmatched = 0;
-    std::printf("\n%-14s %-20s %14s %14s %10s %8s %8s\n", "workload",
-                "scheme", "d(cycles)", "d(insts)", "d(fences)",
-                "mips", "speedup");
+    std::printf("\n%-14s %-20s %14s %14s %10s %8s %8s  %s\n",
+                "workload", "scheme", "d(cycles)", "d(insts)",
+                "d(fences)", "mips", "speedup", "differs");
     for (const Cell &c : now.cells) {
         auto it = baseByKey.find(c.key);
         if (it == baseByKey.end()) {
@@ -530,9 +543,10 @@ compare(const SweepFile &now, const SweepFile &base, bool verbose)
             continue;
         }
         const Cell &b = *it->second;
+        std::string differs = detailDiff(c, b);
         bool same = c.cycles == b.cycles &&
                     c.instructions == b.instructions &&
-                    c.fences == b.fences;
+                    c.fences == b.fences && differs.empty();
         if (!same)
             ++diffs;
         if (same && !verbose)
@@ -544,12 +558,12 @@ compare(const SweepFile &now, const SweepFile &base, bool verbose)
         if (b.mips > 0 && c.mips > 0)
             std::snprintf(speedup, sizeof speedup, "%.2fx",
                           c.mips / b.mips);
-        std::printf("%-14s %-20s %14s %14s %10s %8.2f %8s\n",
+        std::printf("%-14s %-20s %14s %14s %10s %8.2f %8s  %s\n",
                     c.workload.c_str(), c.scheme.c_str(),
                     delta(c.cycles, b.cycles).c_str(),
                     delta(c.instructions, b.instructions).c_str(),
                     delta(c.fences, b.fences).c_str(), c.mips,
-                    speedup);
+                    speedup, differs.empty() ? "-" : differs.c_str());
     }
     std::printf("\n%u of %zu cells differ from baseline"
                 " (%u unmatched)\n",
@@ -561,27 +575,35 @@ compare(const SweepFile &now, const SweepFile &base, bool verbose)
  * Aggregate-throughput gate: each input must sustain at least
  * @p threshold x the baseline's MIPS. Returns the number of files
  * that fail (missing timing on either side is a failure too — a
- * silent pass would mask a broken perf pipeline).
+ * silent pass would mask a broken perf pipeline). Aggregate MIPS
+ * scales with the worker count, so an input run at a different
+ * --jobs than the baseline (or either count unrecorded) fails: a
+ * 4-job run would otherwise hide a single-thread regression of up to
+ * 4x the tolerance.
  */
 unsigned
 perfCompare(const std::vector<SweepFile> &inputs,
             const SweepFile &base, double threshold)
 {
     double baseMips = aggregateMips(base);
-    std::printf("\nperf baseline: %s mips=%.2f (threshold %.2fx "
-                "=> require >= %.2f)\n",
-                base.path.c_str(), baseMips, threshold,
+    std::printf("\nperf baseline: %s mips=%.2f jobs=%u (threshold "
+                "%.2fx => require >= %.2f)\n",
+                base.path.c_str(), baseMips, base.jobs, threshold,
                 baseMips * threshold);
     unsigned failures = 0;
     for (const SweepFile &f : inputs) {
         double mips = aggregateMips(f);
-        bool ok = baseMips > 0 && mips >= baseMips * threshold;
+        bool sameJobs = base.jobs != 0 && f.jobs == base.jobs;
+        bool ok = sameJobs && baseMips > 0 &&
+                  mips >= baseMips * threshold;
         if (!ok)
             ++failures;
-        std::printf("  %-40s mips=%8.2f  %6.2fx  %s\n",
+        std::printf("  %-40s mips=%8.2f  %6.2fx  jobs=%u  %s\n",
                     f.path.c_str(), mips,
-                    baseMips > 0 ? mips / baseMips : 0.0,
-                    ok ? "ok" : "FAIL");
+                    baseMips > 0 ? mips / baseMips : 0.0, f.jobs,
+                    !sameJobs ? "FAIL (jobs differ from the baseline)"
+                    : ok      ? "ok"
+                              : "FAIL");
     }
     return failures;
 }
@@ -768,7 +790,8 @@ usage(int code)
         "  --verbose          list identical cells too, and print\n"
         "                     per-file parse timing\n"
         "  --perf-baseline F  exit 1 if any input's aggregate MIPS\n"
-        "                     falls below R x F's (timing gate)\n"
+        "                     falls below R x F's, or it ran at a\n"
+        "                     different --jobs (timing gate)\n"
         "  --perf-threshold R minimum allowed MIPS ratio "
         "(default 0.80)\n"
         "  --accuracy-baseline F\n"
@@ -903,13 +926,10 @@ main(int argc, char **argv)
         return 2;
     }
 
-    // --check only compares the deterministic counters, so the bulk
-    // histogram/timeseries payloads need not be materialized.
-    bool skipHeavy = check;
     std::vector<SweepFile> files;
     files.reserve(inputs.size());
     for (const std::string &path : inputs)
-        files.push_back(loadSweep(path, skipHeavy, verbose));
+        files.push_back(loadSweep(path, verbose));
 
     unsigned total_diffs = 0;
     std::uint64_t fallbacks = 0;
@@ -919,7 +939,7 @@ main(int argc, char **argv)
     }
 
     if (!baselinePath.empty()) {
-        SweepFile base = loadSweep(baselinePath, skipHeavy, verbose);
+        SweepFile base = loadSweep(baselinePath, verbose);
         fallbacks += base.fallbackKeys;
         std::printf("\nbaseline: ");
         summarize(base);

@@ -256,12 +256,16 @@ PerspectivePolicy::setStats(sim::StatSet *stats)
     // Dynamic-update metrics ("update_latency",
     // "transient_gap_cycles", "revocation.stale_allows") are created
     // lazily at event time: static configurations must emit exactly
-    // the legacy stat set, bit for bit.
+    // the legacy stat set, bit for bit. The lazy handles below keep
+    // that (and the miss-burst histograms' first-event creation).
+    histIsvMissBurst_.bind(stats);
+    histDsvMissBurst_.bind(stats);
+    ctrStaleAllows_.bind(stats);
 }
 
 void
 PerspectivePolicy::noteHit(std::uint64_t &run,
-                           const char *hist_name)
+                           sim::LazyHistogram &hist)
 {
     if (run == 0)
         return;
@@ -269,7 +273,7 @@ PerspectivePolicy::noteHit(std::uint64_t &run,
     // cache-behaviour analyses can tell scattered misses (capacity)
     // from bursts (cold regions / view reconfigurations).
     if (stats_)
-        stats_->histogram(hist_name).sample(run);
+        hist.sample(run);
     run = 0;
 }
 
@@ -403,7 +407,7 @@ PerspectivePolicy::gateLoad(const SpecContext &ctx)
             return blockOnViews(look.readyAt);
         }
         if (ctx.firstCheck)
-            noteHit(isvMissRun_, "isv_miss_burst");
+            noteHit(isvMissRun_, histIsvMissBurst_);
         if (!look.allow) {
             if (stats_ && ctx.firstCheck)
                 ctrIsvFence_.inc();
@@ -429,7 +433,7 @@ PerspectivePolicy::gateLoad(const SpecContext &ctx)
             return blockOnViews(look.readyAt);
         }
         if (ctx.firstCheck)
-            noteHit(dsvMissRun_, "dsv_miss_burst");
+            noteHit(dsvMissRun_, histDsvMissBurst_);
         if (!look.allow) {
             if (stats_ && ctx.firstCheck)
                 ctrDsvFence_.inc();
@@ -447,12 +451,8 @@ PerspectivePolicy::gateLoad(const SpecContext &ctx)
             for (const PendingRevocation &r : pending_) {
                 if (r.pfn == pfn &&
                     !inDsv(ctx.dataVa, c->domain)) {
-                    if (stats_) {
-                        stats_
-                            ->counter(
-                                "perspective.revocation.stale_allows")
-                            .inc();
-                    }
+                    if (stats_)
+                        ctrStaleAllows_.inc();
                     break;
                 }
             }

@@ -295,6 +295,13 @@ class PerspectivePolicy : public sim::SpeculationPolicy
     sim::Counter ctrIsvMiss_;
     sim::Counter ctrDsvFence_;
     sim::Counter ctrDsvMiss_;
+    // Resolved on their first event, when the name-based calls they
+    // replace created them, so the stat set is unchanged (rebound in
+    // setStats).
+    sim::LazyHistogram histIsvMissBurst_{"isv_miss_burst"};
+    sim::LazyHistogram histDsvMissBurst_{"dsv_miss_burst"};
+    sim::LazyCounter ctrStaleAllows_{
+        "perspective.revocation.stale_allows"};
 
     /** DSV-cache refill value for @p va under context @p c: walk the
      * domain's DSVMT mirror (MRU-cached), falling back to the
@@ -325,9 +332,9 @@ class PerspectivePolicy : public sim::SpeculationPolicy
     }
 
     /** Record a miss (or a run-ending hit) on one view cache and
-     * sample completed burst lengths into @p hist_name. */
+     * sample completed burst lengths into @p hist. */
     void noteMiss(std::uint64_t &run) { ++run; }
-    void noteHit(std::uint64_t &run, const char *hist_name);
+    void noteHit(std::uint64_t &run, sim::LazyHistogram &hist);
 
     // Current consecutive-miss run length per view cache; a hit
     // closes the run and samples it into the burst histogram.

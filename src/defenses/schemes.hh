@@ -191,11 +191,21 @@ class InvisiSpecPolicy : public sim::SpeculationPolicy
         if (!ctx.speculative)
             return sim::Gate::Allow;
         if (stats_)
-            stats_->inc("invisispec.invisible_loads");
+            invisibleLoads_.inc();
         return sim::Gate::AllowInvisible;
     }
 
+    void
+    setStats(sim::StatSet *stats) override
+    {
+        SpeculationPolicy::setStats(stats);
+        invisibleLoads_.bind(stats);
+    }
+
     const char *name() const override { return "invisispec"; }
+
+  private:
+    sim::LazyCounter invisibleLoads_{"invisispec.invisible_loads"};
 };
 
 /**

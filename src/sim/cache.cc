@@ -1,55 +1,44 @@
 #include "cache.hh"
 
-#include <cassert>
+#include <algorithm>
+#include <bit>
+#include <stdexcept>
 
 namespace perspective::sim
 {
 
 Cache::Cache(const CacheParams &params)
-    : params_(params)
+    : params_(params), assoc_(params.assoc)
 {
-    assert(params_.size_bytes % (params_.line_bytes * params_.assoc) == 0);
-    numSets_ = params_.size_bytes / (params_.line_bytes * params_.assoc);
-    lines_.resize(std::size_t{numSets_} * params_.assoc);
-}
-
-std::uint64_t
-Cache::lineIndex(Addr addr) const
-{
-    return (addr / params_.line_bytes) % numSets_;
-}
-
-std::uint64_t
-Cache::tagOf(Addr addr) const
-{
-    return addr / params_.line_bytes;
-}
-
-const Cache::Line *
-Cache::findLine(Addr addr) const
-{
-    std::uint64_t set = lineIndex(addr);
-    std::uint64_t tag = tagOf(addr);
-    const Line *base = &lines_[set * params_.assoc];
-    for (std::uint32_t w = 0; w < params_.assoc; ++w) {
-        if (base[w].valid && base[w].tag == tag)
-            return &base[w];
-    }
-    return nullptr;
-}
-
-Cache::Line *
-Cache::findLine(Addr addr)
-{
-    return const_cast<Line *>(
-        static_cast<const Cache *>(this)->findLine(addr));
+    auto reject = [&](const char *why) {
+        throw std::invalid_argument("cache '" + params_.name +
+                                    "': " + why);
+    };
+    if (params_.line_bytes < 2 ||
+        !std::has_single_bit(params_.line_bytes))
+        reject("line size must be a power of two >= 2");
+    std::uint64_t way_bytes =
+        std::uint64_t{params_.line_bytes} * params_.assoc;
+    if (params_.assoc == 0 || params_.size_bytes == 0 ||
+        params_.size_bytes % way_bytes != 0)
+        reject("size must be a nonzero multiple of line size x "
+               "associativity");
+    std::uint64_t sets = params_.size_bytes / way_bytes;
+    if (!std::has_single_bit(sets))
+        reject("set count must be a power of two");
+    lineShift_ = static_cast<unsigned>(
+        std::countr_zero(params_.line_bytes));
+    setMask_ = sets - 1;
+    tags_.assign(sets * assoc_, kInvalidTag);
+    lru_.assign(sets * assoc_, 0);
 }
 
 bool
 Cache::access(Addr addr)
 {
-    if (Line *line = findLine(addr)) {
-        line->lru = ++useClock_;
+    std::size_t way = findWay(addr >> lineShift_);
+    if (way != kNoWay) {
+        lru_[way] = ++useClock_;
         ++hits_;
         return true;
     }
@@ -57,40 +46,40 @@ Cache::access(Addr addr)
     return false;
 }
 
-bool
-Cache::probe(Addr addr) const
-{
-    return findLine(addr) != nullptr;
-}
-
 void
 Cache::fill(Addr addr)
 {
-    if (Line *line = findLine(addr)) {
-        line->lru = ++useClock_;
-        return; // already present
-    }
-    std::uint64_t set = lineIndex(addr);
-    Line *victim = nullptr;
-    for (std::uint32_t w = 0; w < params_.assoc; ++w) {
-        Line &line = lines_[set * params_.assoc + w];
-        // Prefer an invalid way; otherwise the least recently used.
-        if (!victim || (victim->valid &&
-                        (!line.valid || line.lru < victim->lru))) {
-            victim = &line;
+    Addr tag = addr >> lineShift_;
+    std::size_t base = setBase(tag);
+    // One walk finds a present line or picks the victim: the first
+    // invalid way, else the lowest LRU stamp (ties to the lowest way).
+    std::size_t victim = kNoWay;
+    bool victim_invalid = false;
+    for (std::size_t i = base; i < base + assoc_; ++i) {
+        if (tags_[i] == tag) {
+            lru_[i] = ++useClock_;
+            return; // already present
+        }
+        if (victim_invalid)
+            continue;
+        if (tags_[i] == kInvalidTag) {
+            victim = i;
+            victim_invalid = true;
+        } else if (victim == kNoWay || lru_[i] < lru_[victim]) {
+            victim = i;
         }
     }
-    victim->valid = true;
-    victim->tag = tagOf(addr);
-    victim->lru = ++useClock_;
+    tags_[victim] = tag;
+    lru_[victim] = ++useClock_;
     ++contentGen_;
 }
 
 void
 Cache::flush(Addr addr)
 {
-    if (Line *line = findLine(addr)) {
-        line->valid = false;
+    std::size_t way = findWay(addr >> lineShift_);
+    if (way != kNoWay) {
+        tags_[way] = kInvalidTag;
         ++contentGen_;
     }
 }
@@ -98,8 +87,7 @@ Cache::flush(Addr addr)
 void
 Cache::flushAll()
 {
-    for (auto &line : lines_)
-        line.valid = false;
+    std::fill(tags_.begin(), tags_.end(), kInvalidTag);
     ++contentGen_;
 }
 
@@ -115,67 +103,33 @@ CacheHierarchy::CacheHierarchy(const CacheParams &l1i,
 {
 }
 
-Cycle
-CacheHierarchy::accessData(Addr addr, StatSet *stats)
+CacheAccess
+CacheHierarchy::access(Cache &l1, Addr addr)
 {
-    if (stats)
-        stats->inc("l1d.accesses");
-    if (l1d_.access(addr))
-        return l1d_.params().hit_latency;
-    Cycle latency = l1d_.params().hit_latency;
-    if (l2_.access(addr)) {
-        latency += l2_.params().hit_latency;
-    } else {
-        latency += l2_.params().hit_latency + dramLatency_;
+    CacheAccess r;
+    r.latency = l1.params().hit_latency;
+    if (l1.access(addr))
+        return r;
+    r.l1Miss = true;
+    r.latency += l2_.params().hit_latency;
+    if (!l2_.access(addr)) {
+        r.l2Miss = true;
+        r.latency += dramLatency_;
         l2_.fill(addr);
-        if (stats)
-            stats->inc("l2.data_misses");
     }
-    l1d_.fill(addr);
-    if (stats)
-        stats->inc("l1d.misses");
+    l1.fill(addr);
     // Next-line prefetcher (Table 7.1): a demand miss triggers a
     // background fill of the following line. No latency is charged —
     // the prefetch overlaps with the demand access.
     if (prefetch_) {
-        Addr next = addr + l1d_.params().line_bytes;
-        if (!l1d_.probe(next)) {
+        Addr next = addr + l1.params().line_bytes;
+        if (!l1.probe(next)) {
             l2_.fill(next);
-            l1d_.fill(next);
-            if (stats)
-                stats->inc("l1d.prefetches");
+            l1.fill(next);
+            r.prefetched = true;
         }
     }
-    return latency;
-}
-
-Cycle
-CacheHierarchy::accessInst(Addr addr, StatSet *stats)
-{
-    if (stats)
-        stats->inc("l1i.accesses");
-    if (l1i_.access(addr))
-        return l1i_.params().hit_latency;
-    Cycle latency = l1i_.params().hit_latency;
-    if (l2_.access(addr)) {
-        latency += l2_.params().hit_latency;
-    } else {
-        latency += l2_.params().hit_latency + dramLatency_;
-        l2_.fill(addr);
-    }
-    l1i_.fill(addr);
-    if (stats)
-        stats->inc("l1i.misses");
-    if (prefetch_) {
-        Addr next = addr + l1i_.params().line_bytes;
-        if (!l1i_.probe(next)) {
-            l2_.fill(next);
-            l1i_.fill(next);
-            if (stats)
-                stats->inc("l1i.prefetches");
-        }
-    }
-    return latency;
+    return r;
 }
 
 Cycle

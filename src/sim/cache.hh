@@ -13,11 +13,11 @@
 #ifndef PERSPECTIVE_SIM_CACHE_HH
 #define PERSPECTIVE_SIM_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "stats.hh"
 #include "types.hh"
 
 namespace perspective::sim
@@ -37,19 +37,33 @@ struct CacheParams
  * One level of cache. Lookup and fill are separate so callers can
  * model "probe without disturbing" (flush+reload timing reads) as well
  * as normal allocating accesses.
+ *
+ * The geometry must be a power of two in line size and set count, so
+ * a lookup is one shift and one mask. Each set is a run of @c assoc
+ * line tags (an invalid way holds kInvalidTag) beside a parallel run
+ * of LRU stamps.
  */
 class Cache
 {
   public:
+    /** @throws std::invalid_argument unless the line size is a power
+     * of two >= 2, the size is a nonzero multiple of line size x
+     * associativity, and the set count is a power of two. */
     explicit Cache(const CacheParams &params);
 
     /** True if the line containing @p addr is present; updates LRU. */
     bool access(Addr addr);
 
     /** True if present; does not update replacement state. */
-    bool probe(Addr addr) const;
+    bool
+    probe(Addr addr) const
+    {
+        return findWay(addr >> lineShift_) != kNoWay;
+    }
 
-    /** Install the line containing @p addr (evicting LRU). */
+    /** Install the line containing @p addr. The victim is the set's
+     * first invalid way, else its least recently used one (ties go
+     * to the lowest way). */
     void fill(Addr addr);
 
     /** Remove the line containing @p addr if present (clflush). */
@@ -71,28 +85,51 @@ class Cache
     const std::uint64_t *contentGenPtr() const { return &contentGen_; }
 
   private:
-    struct Line
+    /** Tag of an empty way: no line number (addr >> lineShift_, with
+     * lineShift_ >= 1) reaches it. */
+    static constexpr Addr kInvalidTag = ~Addr{0};
+    static constexpr std::size_t kNoWay = ~std::size_t{0};
+
+    /** First slot of @p tag's set in tags_/lru_. */
+    std::size_t
+    setBase(Addr tag) const
     {
-        Addr tag = 0;
-        bool valid = false;
-        std::uint64_t lru = 0; ///< higher == more recently used
-    };
+        return static_cast<std::size_t>(tag & setMask_) * assoc_;
+    }
 
-    std::uint64_t lineIndex(Addr addr) const;
-    std::uint64_t tagOf(Addr addr) const;
-
-    /** The valid line holding @p addr, or nullptr. The one set walk
-     * shared by access/probe/fill/flush; never touches LRU. */
-    const Line *findLine(Addr addr) const;
-    Line *findLine(Addr addr);
+    /** Slot holding @p tag, or kNoWay. The one set walk shared by
+     * access/probe/flush; never touches LRU. */
+    std::size_t
+    findWay(Addr tag) const
+    {
+        std::size_t base = setBase(tag);
+        for (std::size_t i = base; i < base + assoc_; ++i) {
+            if (tags_[i] == tag)
+                return i;
+        }
+        return kNoWay;
+    }
 
     CacheParams params_;
-    std::uint32_t numSets_;
-    std::vector<Line> lines_; ///< numSets_ * assoc, set-major
+    unsigned lineShift_ = 0;
+    Addr setMask_ = 0;
+    std::uint32_t assoc_ = 0;
+    std::vector<Addr> tags_;         ///< sets * assoc, set-major
+    std::vector<std::uint64_t> lru_; ///< higher == more recently used
     std::uint64_t useClock_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
     std::uint64_t contentGen_ = 0;
+};
+
+/** What one demand access did: its latency and which levels it
+ * missed, so the caller can keep its own statistics. */
+struct CacheAccess
+{
+    Cycle latency = 0;
+    bool l1Miss = false;     ///< missed the L1 (filled from L2/DRAM)
+    bool l2Miss = false;     ///< missed the L2 too (filled from DRAM)
+    bool prefetched = false; ///< the next-line prefetcher filled a line
 };
 
 /**
@@ -108,10 +145,10 @@ class CacheHierarchy
                    bool prefetch = true);
 
     /** Data access: charge latency, install in L1D/L2. */
-    Cycle accessData(Addr addr, StatSet *stats = nullptr);
+    CacheAccess accessData(Addr addr) { return access(l1d_, addr); }
 
     /** Instruction fetch access through L1I/L2. */
-    Cycle accessInst(Addr addr, StatSet *stats = nullptr);
+    CacheAccess accessInst(Addr addr) { return access(l1i_, addr); }
 
     /** True if @p addr hits in L1D without touching LRU/contents. */
     bool probeL1D(Addr addr) const { return l1d_.probe(addr); }
@@ -132,6 +169,9 @@ class CacheHierarchy
     bool prefetch() const { return prefetch_; }
 
   private:
+    /** Demand access through @p l1 and the shared L2. */
+    CacheAccess access(Cache &l1, Addr addr);
+
     Cache l1i_;
     Cache l1d_;
     Cache l2_;

@@ -343,11 +343,26 @@ Pipeline::execLatency(const RobEntry &e)
         // An attacker who evicts this line widens the transient
         // window of a poisoned RSB prediction.
         if (!e.sawHalt && e.effAddr != 0)
-            return caches_.accessData(e.effAddr, &stats_);
+            return dataAccess(e.effAddr);
         return 1;
       default:
         return 1;
     }
+}
+
+Cycle
+Pipeline::dataAccess(Addr addr)
+{
+    CacheAccess a = caches_.accessData(addr);
+    ctrL1dAccesses_.inc();
+    if (a.l1Miss) {
+        ctrL1dMisses_.inc();
+        if (a.l2Miss)
+            ctrL2DataMisses_.inc();
+        if (a.prefetched)
+            ctrL1dPrefetches_.inc();
+    }
+    return a.latency;
 }
 
 bool
@@ -450,7 +465,7 @@ Pipeline::tryIssueLoad(RobEntry &e)
         ctrLoadsInvisible_.inc();
     } else {
         tlb_lat = dtlb_.translate(e.effAddr, asid_);
-        mem_lat = caches_.accessData(e.effAddr, &stats_);
+        mem_lat = dataAccess(e.effAddr);
         lat = mem_lat + (tlb_lat > 1 ? tlb_lat : 0);
         e.result = mem_.read(e.effAddr);
     }
@@ -677,9 +692,9 @@ Pipeline::resolveControl(RobEntry &e)
         fetchStallUntil_ = now_ + params_.mispredictPenalty;
         ctrMispredicts_.inc();
         switch (e.op->op) {
-          case Op::Branch: stats_.inc("mispredicts.branch"); break;
-          case Op::IndirectCall: stats_.inc("mispredicts.icall"); break;
-          case Op::Return: stats_.inc("mispredicts.ret"); break;
+          case Op::Branch: ctrMispredBranch_.inc(); break;
+          case Op::IndirectCall: ctrMispredIcall_.inc(); break;
+          case Op::Return: ctrMispredRet_.inc(); break;
           default: break;
         }
         ctrSquashes_.inc();
@@ -718,7 +733,7 @@ Pipeline::applyCommit(RobEntry &e)
     }
     if (e.op->op == Op::Store) {
         mem_.write(e.effAddr, e.srcVal[1]);
-        caches_.accessData(e.effAddr, &stats_);
+        dataAccess(e.effAddr);
         --inflightStores_;
         // In-order commit: this store is the oldest in flight.
         assert(!storeQ_.empty() && storeQ_.front().first == e.seq);
@@ -727,7 +742,7 @@ Pipeline::applyCommit(RobEntry &e)
         // An invisibly-executed load becomes architecturally visible
         // at commit: install its line now (the InvisiSpec "expose").
         if (e.invisible)
-            caches_.accessData(e.effAddr, &stats_);
+            dataAccess(e.effAddr);
         --inflightLoads_;
     }
     if (e.leakSrcBit != LeakLedger::kNoSource)
@@ -818,7 +833,7 @@ Pipeline::tryIssue(RobEntry &e)
     } else if (e.op->op == Op::Call) {
         // Return-address push: allocate the stack line.
         if (e.effAddr != 0)
-            caches_.accessData(e.effAddr, &stats_);
+            dataAccess(e.effAddr);
     }
     e.state = EState::Executing;
     e.issueCycle = now_;
@@ -953,9 +968,15 @@ Pipeline::doFetch()
             Addr line = pc / 64;
             if (line != lastFetchLine_) {
                 lastFetchLine_ = line;
-                Cycle lat = caches_.accessInst(pc, &stats_);
-                if (lat > caches_.l1i().params().hit_latency) {
-                    fetchStallUntil_ = now_ + lat;
+                CacheAccess a = caches_.accessInst(pc);
+                ctrL1iAccesses_.inc();
+                if (a.l1Miss) {
+                    ctrL1iMisses_.inc();
+                    if (a.prefetched)
+                        ctrL1iPrefetches_.inc();
+                }
+                if (a.latency > caches_.l1i().params().hit_latency) {
+                    fetchStallUntil_ = now_ + a.latency;
                     break;
                 }
             }
@@ -1026,7 +1047,7 @@ Pipeline::doFetch()
                           pol->kernelEntryCost();
                 if (c > 0)
                     fetchStallUntil_ = now_ + c;
-                stats_.inc("kernel_entries");
+                ctrKernelEntries_.inc();
             }
             fetch_.func = op.callee;
             fetch_.idx = 0;
@@ -1090,7 +1111,7 @@ Pipeline::doFetch()
                 if (alt != kNoFunc) {
                     pred.func = alt;
                     pred.idx = 0;
-                    stats_.inc("rsb_underflow_btb");
+                    ctrRsbUnderflowBtb_.inc();
                 } else {
                     pred.func = truth.func;
                     pred.idx = truth.retIdx;
@@ -1257,7 +1278,7 @@ Pipeline::run(FuncId entry)
                   !trace::anyEnabled();
 
     Cycle start = now_;
-    std::uint64_t start_inst = stats_.get("committed");
+    std::uint64_t start_inst = ctrCommitted_.value();
 
     while (!halted_) {
         ++now_;
@@ -1277,7 +1298,7 @@ Pipeline::run(FuncId entry)
 
     RunResult r;
     r.cycles = now_ - start;
-    r.instructions = stats_.get("committed") - start_inst;
+    r.instructions = ctrCommitted_.value() - start_inst;
     return r;
 }
 

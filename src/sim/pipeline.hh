@@ -108,6 +108,9 @@ class Pipeline
   public:
     Pipeline(const Program &prog, Memory &mem,
              PipelineParams params = {});
+    /** Stat handles point into the pipeline's own StatSet. */
+    Pipeline(const Pipeline &) = delete;
+    Pipeline &operator=(const Pipeline &) = delete;
 
     /** Install the active defense scheme (nullptr -> unsafe). */
     void setPolicy(SpeculationPolicy *policy);
@@ -509,6 +512,9 @@ class Pipeline
     void rebuildRenameMap();
     void captureOperand(RobEntry &e, unsigned slot, RegId reg);
     Cycle execLatency(const RobEntry &e);
+    /** Demand data access through the hierarchy, counted in the
+     * l1d./l2. stats; returns its latency. */
+    Cycle dataAccess(Addr addr);
     bool tryIssueLoad(RobEntry &e);
     void applyCommit(RobEntry &e);
     void noteFenceStallEnd(const RobEntry &e);
@@ -566,6 +572,22 @@ class Pipeline
     Counter ctrSquashes_;
     Counter ctrGateChecks_; ///< real policy gateLoad invocations
     Counter ctrGateElided_; ///< per-cycle re-gates skipped by wakes
+
+    // Per-event counters that only appear once something happens
+    // (prefetches, L2 misses, a given mispredict kind), bound to
+    // stats_ on first bump so the emitted key set is unchanged.
+    LazyCounter ctrL1dAccesses_{"l1d.accesses", &stats_};
+    LazyCounter ctrL1dMisses_{"l1d.misses", &stats_};
+    LazyCounter ctrL1dPrefetches_{"l1d.prefetches", &stats_};
+    LazyCounter ctrL2DataMisses_{"l2.data_misses", &stats_};
+    LazyCounter ctrL1iAccesses_{"l1i.accesses", &stats_};
+    LazyCounter ctrL1iMisses_{"l1i.misses", &stats_};
+    LazyCounter ctrL1iPrefetches_{"l1i.prefetches", &stats_};
+    LazyCounter ctrMispredBranch_{"mispredicts.branch", &stats_};
+    LazyCounter ctrMispredIcall_{"mispredicts.icall", &stats_};
+    LazyCounter ctrMispredRet_{"mispredicts.ret", &stats_};
+    LazyCounter ctrKernelEntries_{"kernel_entries", &stats_};
+    LazyCounter ctrRsbUnderflowBtb_{"rsb_underflow_btb", &stats_};
 
     // Distribution / time-series telemetry (registered once in the
     // constructor; pointees are stable map nodes inside stats_).

@@ -152,7 +152,7 @@ Pipeline::functionalAdvance(std::uint64_t budget, bool warm,
             Addr line = pc / 64;
             if (line != lastFetchLine_) {
                 lastFetchLine_ = line;
-                caches_.accessInst(pc, nullptr);
+                caches_.accessInst(pc);
             }
         }
         blockStart = op.op >= Op::Branch;
@@ -167,7 +167,7 @@ Pipeline::functionalAdvance(std::uint64_t budget, bool warm,
                       static_cast<std::uint64_t>(op.imm);
             if (warm) {
                 dtlb_.translate(ea, asid_);
-                caches_.accessData(ea, nullptr);
+                caches_.accessData(ea);
                 if (fn->kernel) {
                     SpecContext ctx;
                     ctx.pc = pc;
@@ -188,7 +188,7 @@ Pipeline::functionalAdvance(std::uint64_t budget, bool warm,
                       static_cast<std::uint64_t>(op.imm);
             mem_.write(ea, op.src2 != kNoReg ? regs_[op.src2] : 0);
             if (warm)
-                caches_.accessData(ea, nullptr);
+                caches_.accessData(ea);
             ++idx;
             break;
           }
@@ -221,7 +221,7 @@ Pipeline::functionalAdvance(std::uint64_t budget, bool warm,
             fetch_.stack.push_back(fr);
             if (warm) {
                 rsb_.push({fr.func, fr.retIdx});
-                caches_.accessData(fr.slotVa, nullptr);
+                caches_.accessData(fr.slotVa);
             }
             func = op.callee;
             fn = &prog_.func(func);
@@ -245,7 +245,7 @@ Pipeline::functionalAdvance(std::uint64_t budget, bool warm,
             fetch_.stack.push_back(fr);
             if (warm) {
                 rsb_.push({fr.func, fr.retIdx});
-                caches_.accessData(fr.slotVa, nullptr);
+                caches_.accessData(fr.slotVa);
             }
             func = static_cast<FuncId>(raw);
             fn = &prog_.func(func);
@@ -266,7 +266,7 @@ Pipeline::functionalAdvance(std::uint64_t budget, bool warm,
             fetch_.stack.pop_back();
             if (warm) {
                 rsb_.pop();
-                caches_.accessData(truth.slotVa, nullptr);
+                caches_.accessData(truth.slotVa);
             }
             func = truth.func;
             fn = &prog_.func(func);

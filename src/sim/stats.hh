@@ -344,6 +344,73 @@ class StatSet
     std::map<std::string, TimeSeries> series_;
 };
 
+/**
+ * A Counter resolved on its first bump: the counter enters its
+ * StatSet exactly when a name-based inc() would have created it, so
+ * counters that stay absent until something happens (prefetches, L2
+ * misses, rare mispredict kinds) keep that key set, while every bump
+ * costs a pointer test instead of a string build and a map walk.
+ * Bind it to a set before the first bump; it stays valid across
+ * StatSet::clear() and assignFrom(), and bind() to another set drops
+ * the resolved slot.
+ */
+class LazyCounter
+{
+  public:
+    explicit LazyCounter(const char *name, StatSet *set = nullptr)
+        : name_(name), set_(set)
+    {
+    }
+
+    void
+    bind(StatSet *set)
+    {
+        set_ = set;
+        ctr_ = Counter();
+    }
+
+    void
+    inc(std::uint64_t delta = 1)
+    {
+        if (!ctr_.valid()) [[unlikely]]
+            ctr_ = set_->counter(name_);
+        ctr_.inc(delta);
+    }
+
+  private:
+    const char *name_; ///< string literal: outlives every binding
+    StatSet *set_;
+    Counter ctr_;
+};
+
+/** The histogram counterpart of LazyCounter: created on its first
+ * sample, as StatSet::histogram(name).sample() would. */
+class LazyHistogram
+{
+  public:
+    explicit LazyHistogram(const char *name) : name_(name) {}
+
+    void
+    bind(StatSet *set)
+    {
+        set_ = set;
+        hist_ = nullptr;
+    }
+
+    void
+    sample(std::uint64_t value)
+    {
+        if (!hist_) [[unlikely]]
+            hist_ = &set_->histogram(name_);
+        hist_->sample(value);
+    }
+
+  private:
+    const char *name_; ///< string literal: outlives every binding
+    StatSet *set_ = nullptr;
+    Histogram *hist_ = nullptr;
+};
+
 } // namespace perspective::sim
 
 #endif // PERSPECTIVE_SIM_STATS_HH

@@ -183,7 +183,7 @@ TEST(FleetProto, CorruptFramesAreErrorsNotParses)
     }
 }
 
-// ---- Selective-skip parsing (bench_report --check fast path) -------
+// ---- Selective-skip parsing (perfbench reads the baseline with it) -
 
 TEST(FleetJson, SkipObjectKeysDropsSubtreesAtEveryDepth)
 {

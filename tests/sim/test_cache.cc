@@ -102,8 +102,8 @@ TEST(Hierarchy, LatencyOrdering)
 {
     CacheHierarchy h(defaultL1I(), defaultL1D(), defaultL2(), 100);
     Addr a = 0x12345000;
-    Cycle cold = h.accessData(a);
-    Cycle warm = h.accessData(a);
+    Cycle cold = h.accessData(a).latency;
+    Cycle warm = h.accessData(a).latency;
     EXPECT_GT(cold, warm);
     EXPECT_EQ(warm, defaultL1D().hit_latency);
     EXPECT_GE(cold, 100u);
@@ -115,7 +115,7 @@ TEST(Hierarchy, L2HitAfterL1Evict)
     Addr a = 0x5000;
     h.accessData(a);
     h.l1d().flush(a);
-    Cycle lat = h.accessData(a);
+    Cycle lat = h.accessData(a).latency;
     EXPECT_EQ(lat, defaultL1D().hit_latency + defaultL2().hit_latency);
 }
 

@@ -239,3 +239,117 @@ TEST(Pipeline, KernelEntryCostCharged)
     auto slow = slow_cpu.run(u);
     EXPECT_GE(slow.cycles, fast.cycles + 400);
 }
+
+namespace
+{
+
+/**
+ * A dependent load chain over hand-placed lines, then one store:
+ * A, A+64, A+4096, A again (each load's base is the previous
+ * load's result, so the accesses happen in program order), and a
+ * store to A+128 at commit. The code is 7 ops: one I-cache line.
+ */
+struct CacheScript
+{
+    static constexpr Addr kA = 0x100000;
+
+    Machine m;
+    FuncId f;
+
+    CacheScript()
+    {
+        m.mem.write(kA, kA);
+        m.mem.write(kA + 64, kA);
+        m.mem.write(kA + 4096, kA);
+        f = m.prog.addFunction("main", false);
+        m.prog.func(f).body = {
+            movImm(1, static_cast<std::int64_t>(kA)),
+            load(2, 1, 0),    // A
+            load(3, 2, 64),   // A+64
+            load(4, 3, 4096), // A+4096
+            load(5, 4, 0),    // A
+            store(5, 128, 2), // A+128, at commit
+            ret(),
+        };
+        m.prog.layout();
+    }
+};
+
+struct CacheCounts
+{
+    std::uint64_t l1dAcc, l1dMiss, l2Miss, l1iAcc, l1iMiss;
+};
+
+void
+expectCounts(const StatSet &st, const CacheCounts &c)
+{
+    EXPECT_EQ(st.get("l1d.accesses"), c.l1dAcc);
+    EXPECT_EQ(st.get("l1d.misses"), c.l1dMiss);
+    EXPECT_EQ(st.get("l2.data_misses"), c.l2Miss);
+    EXPECT_EQ(st.get("l1i.accesses"), c.l1iAcc);
+    EXPECT_EQ(st.get("l1i.misses"), c.l1iMiss);
+}
+
+} // namespace
+
+TEST(PipelineStats, CacheCountersMatchHandCount)
+{
+    CacheScript s;
+    Pipeline cpu(s.m.prog, s.m.mem);
+    // Cold, prefetcher on: A misses both levels and prefetches A+64,
+    // which then hits; A+4096 misses both (prefetching A+4160); A
+    // hits; the store to A+128 misses both (prefetching A+192). The
+    // code line misses both and prefetches the next line.
+    cpu.run(s.f);
+    expectCounts(cpu.stats(), {5, 3, 3, 1, 1});
+    EXPECT_EQ(cpu.stats().get("l1d.prefetches"), 3u);
+    EXPECT_EQ(cpu.stats().get("l1i.prefetches"), 1u);
+
+    // L1D emptied, L2 kept: the same three L1 misses now hit the L2,
+    // and each still prefetches its next line into the L1D.
+    cpu.stats().clear();
+    cpu.caches().l1d().flushAll();
+    cpu.run(s.f);
+    expectCounts(cpu.stats(), {5, 3, 0, 1, 0});
+    EXPECT_EQ(cpu.stats().get("l1d.prefetches"), 3u);
+    EXPECT_EQ(cpu.stats().get("l1i.prefetches"), 0u);
+}
+
+TEST(PipelineStats, PrefetchCountersStayAbsentWithPrefetcherOff)
+{
+    CacheScript s;
+    Pipeline cpu(s.m.prog, s.m.mem);
+    cpu.caches().setPrefetch(false);
+    // Without the prefetcher A+64 misses too: four L1D misses.
+    cpu.run(s.f);
+    expectCounts(cpu.stats(), {5, 4, 4, 1, 1});
+    const auto &all = cpu.stats().all();
+    EXPECT_EQ(all.count("l1d.prefetches"), 0u);
+    EXPECT_EQ(all.count("l1i.prefetches"), 0u);
+    EXPECT_EQ(all.count("l1d.accesses"), 1u);
+    // Counters that never fired are never created, not even as zero.
+    EXPECT_EQ(all.count("mispredicts.branch"), 0u);
+    EXPECT_EQ(all.count("kernel_entries"), 0u);
+}
+
+TEST(PipelineStats, CacheCountersSurviveClearAndRestore)
+{
+    CacheScript s;
+    Pipeline cpu(s.m.prog, s.m.mem);
+    cpu.run(s.f);
+    Pipeline::Snapshot snap = cpu.snapshot();
+
+    // Warm caches: every access hits.
+    cpu.stats().clear();
+    cpu.run(s.f);
+    expectCounts(cpu.stats(), {5, 0, 0, 1, 0});
+
+    // Restore rewinds the values (and the caches) but keeps every
+    // bound handle live: the next run adds to the restored counts.
+    cpu.restore(snap);
+    expectCounts(cpu.stats(), {5, 3, 3, 1, 1});
+    cpu.caches().l1d().flushAll();
+    cpu.run(s.f);
+    expectCounts(cpu.stats(), {10, 6, 3, 2, 1});
+    EXPECT_EQ(cpu.stats().get("l1d.prefetches"), 6u);
+}
